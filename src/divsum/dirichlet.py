@@ -21,7 +21,12 @@ import numpy as np
 from mpmath import mp, mpf
 
 from . import ddouble as dd
-from .multiplicative import SCALE_EXP, multiple_ratio_numerators
+from .multiplicative import (
+    SCALE_EXP,
+    segment_ratio_numerators,
+    sieve_segment,
+    twisted_ratio_numerators,
+)
 from .primes import is_prime, prime_blocks, primes_upto
 
 DEFAULT_PRIME_LIMIT = 10**8  # flagship truncation for the s=1 constants
@@ -29,6 +34,7 @@ RHS_PRIME_LIMIT = 10**5  # plenty for the series checks (tail <= 1e-10 at s>=1.5
 FAST_PATH_PRIME_CAP = 1 << 31
 SLOW_PATH_PRIME_CAP = 2 * 10**6
 LHS_TERM_CAP = 10**8
+LHS_CHUNK = 1 << 20  # integers n sieved per step of the series sum
 
 # Bernoulli numbers B_2 .. B_26 (even index k -> B_k), classical values
 _BERNOULLI = {
@@ -271,8 +277,10 @@ def dirichlet_lhs(q: int, s: float, terms: int) -> tuple[float, float]:
         raise ValueError(f"q * terms exceeds budget {LHS_TERM_CAP}")
     scale = 2.0**-SCALE_EXP
     value = 0.0
-    for n_start, nums in multiple_ratio_numerators(q, 0, terms):
-        n = np.arange(n_start + 1, n_start + 1 + nums.size, dtype=np.float64)
+    for lo in range(1, terms + 1, LHS_CHUNK):
+        hi = min(lo + LHS_CHUNK, terms + 1)
+        nums = twisted_ratio_numerators(q, lo, segment_ratio_numerators(sieve_segment(lo, hi)))
+        n = np.arange(lo, hi, dtype=np.float64)
         value += float(np.sum(nums.astype(np.float64) * scale * n ** (-s)))
     tail = 4.0 * (math.log(terms) + 2.0) / terms ** (s - 1.0 - 0.25)
     return value, tail

@@ -15,7 +15,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .primes import primes_upto
+from .primes import is_prime, primes_upto
 
 SCALE_EXP = 32
 MAX_FACTORIZE = 1 << 63
@@ -204,25 +204,31 @@ def sieve_segment(lo: int, hi: int) -> SegmentTable:
     return SegmentTable(lo, hi, d, om)
 
 
-def multiple_ratio_numerators(q: int, n_lo: int, n_hi: int, segment_size: int = 1 << 20):
-    """Yield (n_start, numerators) chunks of the ratio at q*n, n in (n_lo, n_hi].
+def twisted_ratio_numerators(q: int, lo: int, num: np.ndarray) -> np.ndarray:
+    """Scaled numerators of the ratio at q*n for n = lo .. lo+len(num)-1.
 
-    Each yielded array holds the scaled numerators of d(q*n)/2^omega(q*n)
-    for n = n_start+1 .. n_start+len, produced by sieving the value range
-    [q*n_lo+1, q*n_hi+1) and slicing the multiples of q.
+    num holds the numerators of the ratio at n itself (segment_ratio_numerators
+    of the segment starting at lo).  For q prime and a = v_q(n): when a = 0,
+    q adds one prime to both d and 2^omega, so ratio(qn) = ratio(n); when
+    a >= 1, ratio(qn) = ratio(n) * (a+2)/(a+1), exact because (a+1) divides
+    d(n).  q = 1 returns num unchanged.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if n_lo < 0 or n_hi < n_lo:
-        raise ValueError(f"bad chunk range ({n_lo}, {n_hi}]")
-    chunk = max(1, segment_size // q)
-    a = n_lo
-    while a < n_hi:
-        b = min(a + chunk, n_hi)
-        table = sieve_segment(q * a + 1, q * b + 1)
-        nums = segment_ratio_numerators(table)
-        yield a, nums[q - 1 :: q]
-        a = b
+    if q != 1 and not is_prime(q):
+        raise ValueError(f"q must be 1 or prime (got {q})")
+    if q == 1 or num.size == 0:
+        return num
+    a = np.zeros(num.size, dtype=np.int8)  # v_q(n) < 64
+    top = lo + num.size - 1
+    qk = q
+    while qk <= top:
+        a[(-lo) % qk :: qk] += 1
+        qk *= q
+    hit = a > 0
+    out = num.copy()
+    out[hit] = num[hit] // (a[hit] + 1) * (a[hit] + 2)
+    if int(out.max()) * out.size >= 1 << 63:
+        raise OverflowError("segment sum would overflow int64")
+    return out
 
 
 def segment_ratio_numerators(table: SegmentTable) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Exact partial-sum engine for the divisor ratio over digit classes.
 
-One pass accumulates, as exact scaled integers, the total sum S, the
-restricted sums S_A / S_B, the complement sum T_nonA and the complement
-count; independent passes over multiples of q produce the twisted series
-sum_{n<=m} ratio(q n) at two stop conventions per checkpoint x: m = x//q
-(used by the five-multiple split identity) and m = x (used by the
-linear-main-term checks).  Because every reduction is integer addition,
+One sieve pass over (x0, limit] accumulates, as exact scaled integers, the
+total sum S, the restricted sums S_A / S_B, the complement sum T_nonA, the
+complement count and, for each q, the twisted series sum_{n<=m} ratio(q n).
+The twisted terms come from the same sieve table: with a = v_q(n),
+ratio(q n) = ratio(n) when a = 0 and ratio(n) * (a+2)/(a+1) otherwise, so
+no value above the limit is sieved.  The twisted series is kept at two stop
+conventions per checkpoint x: m = x//q (used by the five-multiple split
+identity) and m = x (used by the linear-main-term checks); both are segment
+boundaries of the pass.  Because every reduction is integer addition,
 results are bit-identical for any segmentation or worker count.
 """
 
@@ -20,14 +23,17 @@ import numpy as np
 
 from . import digitset
 from .multiplicative import (
+    MAX_SEGMENT_CELLS,
     SCALE_EXP,
     DyadicValue,
     segment_ratio_numerators,
     sieve_segment,
+    twisted_ratio_numerators,
 )
 from .primes import is_prime
 
 MAX_LIMIT = 10**9
+# largest q*limit that twisted_sum accepts
 TWISTED_VALUE_BUDGET = 10**10
 CSV_HEADER = ["x", "scale_exp", "S", "S_A", "S_B", "T_nonA", "count_nonA", "q", "twisted_limit", "twisted"]
 # total numerators stay far below 2^127 for every permitted limit; the guard
@@ -59,6 +65,20 @@ class Checkpoint:
     count_nonA: int
     twisted: dict[int, dict[int, DyadicValue]] = field(default_factory=dict)
 
+    @property
+    def core(self) -> tuple[int, int, int, int, int]:
+        """Numerators of (S, S_A, S_B, T_nonA) and count_nonA, as persisted."""
+        sums = (self.S, self.S_A, self.S_B, self.T_nonA)
+        return (*(v.numerator for v in sums), self.count_nonA)
+
+
+def _checkpoint(x: int, core, twisted: dict[int, dict[int, int]]) -> Checkpoint:
+    """Checkpoint from numerators: core = (S, S_A, S_B, T_nonA, count_nonA)."""
+    *sums, count_non_a = core
+    s_all, s_a, s_b, t_non = (DyadicValue(v) for v in sums)
+    stops = {q: {m: DyadicValue(v) for m, v in sorted(tw.items())} for q, tw in twisted.items()}
+    return Checkpoint(x, s_all, s_a, s_b, t_non, count_non_a, stops)
+
 
 @dataclass
 class EngineConfig:
@@ -72,8 +92,8 @@ class EngineConfig:
     def __post_init__(self):
         if not 1 <= self.limit <= MAX_LIMIT:
             raise ValueError(f"limit must be in [1, {MAX_LIMIT}] (got {self.limit})")
-        if self.segment_size < 1:
-            raise ValueError("segment_size must be >= 1")
+        if not 1 <= self.segment_size <= MAX_SEGMENT_CELLS:
+            raise ValueError(f"segment_size must be in [1, {MAX_SEGMENT_CELLS}]")
         if self.thread_count < 1:
             raise ValueError("thread_count must be >= 1")
         qs = tuple(sorted(set(int(q) for q in self.q_list)))
@@ -106,11 +126,12 @@ def _segment_ranges(lo_n: int, hi_n: int, segment_size: int):
         a = b
 
 
-def _segment_class_sums(args) -> tuple[int, int, int, int, int]:
-    """(S, S_A, S_B, T_nonA, count_nonA) numerator sums over [lo, hi)."""
-    lo, hi = args
-    table = sieve_segment(lo, hi)
-    num = segment_ratio_numerators(table)
+def _segment_class_sums(args) -> tuple[int, ...]:
+    """(S, S_A, S_B, T_nonA, count_nonA, twisted per q) numerator sums over [lo, hi)."""
+    lo, hi, q_list = args
+    num = segment_ratio_numerators(sieve_segment(lo, hi))
+    # the twisted sums go first, while num is the only large live array
+    twisted = tuple(int(twisted_ratio_numerators(q, lo, num).sum()) for q in q_list)
     n = np.arange(lo, hi, dtype=np.int64)
     mult5 = n % 5 == 0
     has05 = np.zeros(hi - lo, dtype=bool)
@@ -128,15 +149,7 @@ def _segment_class_sums(args) -> tuple[int, int, int, int, int]:
     s_b = int(num[has05 & ~mult5].sum())
     t_non = int(num[~in_a].sum())
     cnt = int((~in_a).sum())
-    return s_all, s_a, s_b, t_non, cnt
-
-
-def _multiple_sum_segment(args) -> int:
-    """Numerator sum of ratio(q n) for n in (a, b]."""
-    q, a, b = args
-    table = sieve_segment(q * a + 1, q * b + 1)
-    num = segment_ratio_numerators(table)
-    return int(num[q - 1 :: q].sum())
+    return (s_all, s_a, s_b, t_non, cnt, *twisted)
 
 
 def _pool_map(pool: ThreadPoolExecutor | None, fn, jobs):
@@ -145,53 +158,36 @@ def _pool_map(pool: ThreadPoolExecutor | None, fn, jobs):
     return list(pool.map(fn, jobs))
 
 
-def twisted_sum(q: int, limit: int, segment_size: int = 1 << 20) -> DyadicValue:
-    """Exact sum_{n<=limit} ratio(q n), sieved over multiples of q.
+def _twisted_range(q: int, lo: int, hi: int, segment_size: int, pool=None) -> int:
+    """Numerator sum of ratio(q n) over n in (lo, hi], sieving only (lo, hi]."""
+    jobs = [(a, b, (q,)) for a, b in _segment_ranges(lo, hi, segment_size)]
+    return sum(part[5] for part in _pool_map(pool, _segment_class_sums, jobs))
 
-    Small limits go through per-n factorization instead of the sieve.
-    """
+
+def twisted_sum(q: int, limit: int, segment_size: int = 1 << 20) -> DyadicValue:
+    """Exact sum_{n<=limit} ratio(q n), from the sieve of n <= limit."""
     if q != 1 and not is_prime(q):
         raise ValueError(f"q must be 1 or prime (got {q})")
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if q * limit > TWISTED_VALUE_BUDGET:
-        raise ValueError(f"q*limit exceeds sieve budget {TWISTED_VALUE_BUDGET}")
-    if limit == 0:
-        return DyadicValue.zero()
-    if limit <= 2000:
-        from .multiplicative import divisor_ratio
-
-        total = DyadicValue.zero()
-        for n in range(1, limit + 1):
-            total = total + divisor_ratio(q * n)
-        return total
-    chunk = max(1, segment_size // q)
-    total = 0
-    for a, b in _segment_ranges(0, limit, chunk):
-        total += _multiple_sum_segment((q, a - 1, b - 1))
-    return DyadicValue(total)
+        raise ValueError(f"q*limit exceeds budget {TWISTED_VALUE_BUDGET}")
+    if segment_size > MAX_SEGMENT_CELLS:
+        raise ValueError(f"segment_size must be <= {MAX_SEGMENT_CELLS}")
+    return DyadicValue(_twisted_range(q, 0, limit, max(1, segment_size)))
 
 
 def _load_resume_state(config: EngineConfig, schedule: list[int]):
-    """Prior checkpoints plus twisted anchors, validated against the schedule."""
+    """Prior checkpoints and the resume point, validated against the schedule."""
     prior = load_checkpoints(config.resume_path)
-    prior = [cp for cp in prior if cp.x <= config.limit]
-    anchors: dict[int, dict[int, int]] = {q: {0: 0} for q in config.q_list}
     if not prior:
-        return [], anchors, 0
-    sched = set(schedule)
-    for cp in prior:
-        if cp.x not in sched:
-            raise CheckpointFormatError(
-                f"checkpoint x={cp.x} is not on the configured schedule; "
-                f"resume requires a matching schedule"
-            )
-        if set(cp.twisted) != set(config.q_list):
-            raise CheckpointFormatError(
-                f"checkpoint x={cp.x} carries q={sorted(cp.twisted)}, "
-                f"config wants q={list(config.q_list)}"
-            )
-    xs = sorted(cp.x for cp in prior)
+        return [], 0
+    xs = [cp.x for cp in prior]  # load_checkpoints sorts by x
+    if xs[-1] > config.limit:
+        raise CheckpointFormatError(
+            f"{config.resume_path} holds checkpoints up to x={xs[-1]}, beyond limit "
+            f"{config.limit}; resuming would drop them"
+        )
     expected_prefix = [x for x in schedule if x <= xs[-1]]
     if xs != expected_prefix:
         raise CheckpointFormatError(
@@ -199,27 +195,13 @@ def _load_resume_state(config: EngineConfig, schedule: list[int]):
             f"{expected_prefix}"
         )
     for cp in prior:
-        for q, stops in cp.twisted.items():
-            for m, val in stops.items():
-                anchors[q][m] = val.numerator
-    return sorted(prior, key=lambda c: c.x), anchors, xs[-1]
-
-
-def _twisted_stop_values(
-    q: int,
-    needed: list[int],
-    anchors: dict[int, int],
-    segment_size: int,
-    pool,
-) -> None:
-    """Fill anchors[m] for every needed stop m, resieving only the gaps."""
-    chunk = max(1, segment_size // q)
-    for stop in sorted(set(needed)):
-        if stop in anchors:
-            continue
-        base = max(m for m in anchors if m <= stop)
-        jobs = [(q, a - 1, b - 1) for a, b in _segment_ranges(base, stop, chunk)]
-        anchors[stop] = anchors[base] + sum(_pool_map(pool, _multiple_sum_segment, jobs))
+        stops = {q: set(v) for q, v in cp.twisted.items()}
+        if stops != {q: {cp.x // q, cp.x} for q in config.q_list}:
+            raise CheckpointFormatError(
+                f"checkpoint x={cp.x} carries twisted stops {stops}, config wants "
+                f"q={list(config.q_list)} at stops x//q and x"
+            )
+    return prior, xs[-1]
 
 
 def _validate_checkpoint(cp: Checkpoint, q_list) -> None:
@@ -244,67 +226,49 @@ def accumulate(config: EngineConfig) -> list[Checkpoint]:
     checkpoint; the result is bit-identical to a fresh run.
     """
     schedule = checkpoint_schedule(config.limit, config.refine_factor2)
-    anchors: dict[int, dict[int, int]] = {q: {0: 0} for q in config.q_list}
-    prior: list[Checkpoint] = []
-    x0 = 0
-    if config.resume_path and os.path.exists(config.resume_path):
-        prior, anchors, x0 = _load_resume_state(config, schedule)
+    qs = config.q_list
+    resume = config.resume_path and os.path.exists(config.resume_path)
+    prior, x0 = _load_resume_state(config, schedule) if resume else ([], 0)
+    new_points = [x for x in schedule if x > x0]
 
+    # twisted series per q: persisted stops first, then the stops of this run
+    twisted = {
+        q: {0: 0} | {m: v.numerator for cp in prior for m, v in cp.twisted[q].items()}
+        for q in qs
+    }
+    totals = (*(prior[-1].core if prior else (0,) * 5), *(twisted[q][x0] for q in qs))
+
+    # one pass over (x0, limit]: checkpoints and the twisted stops m = x//q
+    # above x0 are segment boundaries, so running totals land on each of them
+    marks = sorted({*new_points, *(x // q for x in new_points for q in qs if x // q > x0)})
+    jobs = [
+        (a, b, qs)
+        for lo, hi in zip([x0, *marks], marks)
+        for a, b in _segment_ranges(lo, hi, config.segment_size)
+    ]
+    at: dict[int, tuple[int, ...]] = {}
     pool = ThreadPoolExecutor(config.thread_count) if config.thread_count > 1 else None
     try:
-        new_points = [x for x in schedule if x > x0]
-
-        # main pass: classify and sum every n in (x0, limit]
-        if prior:
-            last = prior[-1]
-            s_all = last.S.numerator
-            s_a = last.S_A.numerator
-            s_b = last.S_B.numerator
-            t_non = last.T_nonA.numerator
-            cnt = last.count_nonA
-        else:
-            s_all = s_a = s_b = t_non = cnt = 0
-        core: dict[int, tuple[int, int, int, int, int]] = {}
-        prev = x0
-        for x in new_points:
-            jobs = list(_segment_ranges(prev, x, config.segment_size))
-            for part in _pool_map(pool, _segment_class_sums, jobs):
-                s_all += part[0]
-                s_a += part[1]
-                s_b += part[2]
-                t_non += part[3]
-                cnt += part[4]
-            core[x] = (s_all, s_a, s_b, t_non, cnt)
-            prev = x
-
-        # twisted passes, one independent series per q
-        for q in config.q_list:
-            needed = [m for x in new_points for m in (x // q, x)]
-            _twisted_stop_values(q, needed, anchors[q], config.segment_size, pool)
+        for (_, b, _), part in zip(jobs, _pool_map(pool, _segment_class_sums, jobs)):
+            totals = tuple(t + p for t, p in zip(totals, part))
+            at[b - 1] = totals
+        for i, q in enumerate(qs):
+            twisted[q].update((m, at[m][5 + i]) for m in marks)
+            # stops below the resume point: re-sieve from the nearest stop below
+            for m in sorted({x // q for x in new_points} - twisted[q].keys()):
+                base = max(k for k in twisted[q] if k < m)
+                part = _twisted_range(q, base, m, config.segment_size, pool)
+                twisted[q][m] = twisted[q][base] + part
     finally:
         if pool is not None:
             pool.shutdown()
 
-    out = list(prior)
-    for x in new_points:
-        s_all, s_a, s_b, t_non, cnt = core[x]
-        twisted = {
-            q: {m: DyadicValue(anchors[q][m]) for m in sorted({x // q, x})}
-            for q in config.q_list
-        }
-        out.append(
-            Checkpoint(
-                x=x,
-                S=DyadicValue(s_all),
-                S_A=DyadicValue(s_a),
-                S_B=DyadicValue(s_b),
-                T_nonA=DyadicValue(t_non),
-                count_nonA=cnt,
-                twisted=twisted,
-            )
-        )
+    out = prior + [
+        _checkpoint(x, at[x][:5], {q: {m: twisted[q][m] for m in (x // q, x)} for q in qs})
+        for x in new_points
+    ]
     for cp in out:
-        _validate_checkpoint(cp, config.q_list)
+        _validate_checkpoint(cp, qs)
     return out
 
 
@@ -316,20 +280,7 @@ def save_checkpoints(path: str, checkpoints: list[Checkpoint]) -> None:
         for cp in sorted(checkpoints, key=lambda c: c.x):
             for q in sorted(cp.twisted):
                 for m in sorted(cp.twisted[q]):
-                    w.writerow(
-                        [
-                            cp.x,
-                            SCALE_EXP,
-                            cp.S.numerator,
-                            cp.S_A.numerator,
-                            cp.S_B.numerator,
-                            cp.T_nonA.numerator,
-                            cp.count_nonA,
-                            q,
-                            m,
-                            cp.twisted[q][m].numerator,
-                        ]
-                    )
+                    w.writerow([cp.x, SCALE_EXP, *cp.core, q, m, cp.twisted[q][m].numerator])
 
 
 def load_checkpoints(path: str) -> list[Checkpoint]:
@@ -345,18 +296,15 @@ def load_checkpoints(path: str) -> list[Checkpoint]:
         if len(row) != len(CSV_HEADER):
             raise CheckpointFormatError(f"{path}: line {i}: expected {len(CSV_HEADER)} fields")
         try:
-            x, scale, s_all, s_a, s_b, t_non, cnt, q, m, tw = (int(v) for v in row)
+            x, scale, *core, q, m, tw = (int(v) for v in row)
         except ValueError:
             raise CheckpointFormatError(f"{path}: line {i}: non-integer field") from None
         if scale != SCALE_EXP:
             raise CheckpointFormatError(
                 f"{path}: line {i}: scale_exp {scale} != engine scale {SCALE_EXP}"
             )
-        rec = by_x.setdefault(x, {"core": None, "twisted": {}})
-        core = (s_all, s_a, s_b, t_non, cnt)
-        if rec["core"] is None:
-            rec["core"] = core
-        elif rec["core"] != core:
+        rec = by_x.setdefault(x, {"core": core, "twisted": {}})
+        if rec["core"] != core:
             raise CheckpointFormatError(f"{path}: line {i}: inconsistent sums for x={x}")
         prev_val = rec["twisted"].setdefault(q, {}).get(m)
         if prev_val is not None and prev_val != tw:
@@ -366,21 +314,8 @@ def load_checkpoints(path: str) -> list[Checkpoint]:
         rec["twisted"][q][m] = tw
     out = []
     for x in sorted(by_x):
-        s_all, s_a, s_b, t_non, cnt = by_x[x]["core"]
+        s_all, s_a, _, t_non, _ = by_x[x]["core"]
         if s_all != s_a + t_non:
             raise CheckpointFormatError(f"{path}: checkpoint x={x}: S != S_A + T_nonA")
-        out.append(
-            Checkpoint(
-                x=x,
-                S=DyadicValue(s_all),
-                S_A=DyadicValue(s_a),
-                S_B=DyadicValue(s_b),
-                T_nonA=DyadicValue(t_non),
-                count_nonA=cnt,
-                twisted={
-                    q: {m: DyadicValue(v) for m, v in stops.items()}
-                    for q, stops in by_x[x]["twisted"].items()
-                },
-            )
-        )
+        out.append(_checkpoint(x, by_x[x]["core"], by_x[x]["twisted"]))
     return out

@@ -166,3 +166,35 @@ def test_pretty_output(capsys):
     code, out, _ = run_cli(capsys, "classify", "107", "--pretty")
     assert code == 0
     assert "B" in out and "witness" in out
+
+
+def test_resume_with_smaller_limit_refuses(tmp_path, capsys):
+    cp = str(tmp_path / "cp.csv")
+    assert run_cli(capsys, "sum", "--limit", "1000", "--checkpoints", cp)[0] == 0
+    before = open(cp, "rb").read()
+    code, _, err = run_cli(
+        capsys, "sum", "--limit", "100", "--checkpoints", cp, "--resume"
+    )
+    assert code == 1
+    assert "error" in err and "x=1000" in err
+    assert open(cp, "rb").read() == before
+
+
+def test_oversize_segment_rejected_before_sieving(tmp_path, capsys, monkeypatch):
+    from divsum import sums
+
+    def no_sieve(lo, hi):
+        raise AssertionError("sieved despite an invalid segment size")
+
+    monkeypatch.setattr(sums, "sieve_segment", no_sieve)
+    code, out, err = run_cli(
+        capsys, "twisted", "--q", "1", "--limit", "7e7", "--segment-size", "1e8"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "segment_size" in err
+    cp = tmp_path / "cp.csv"
+    code, _, err = run_cli(
+        capsys, "sum", "--limit", "100", "--segment-size", "1e8", "--checkpoints", str(cp)
+    )
+    assert code == 1 and "segment_size" in err
+    assert not cp.exists()

@@ -12,9 +12,9 @@ from divsum.multiplicative import (
     divisor_ratio,
     divisor_ratio_brute,
     factorize,
-    multiple_ratio_numerators,
     segment_ratio_numerators,
     sieve_segment,
+    twisted_ratio_numerators,
     unitary_divisor_count,
 )
 
@@ -179,10 +179,13 @@ def test_segment_numerators_match_pointwise():
         assert DyadicValue(int(nums[i])) == divisor_ratio(100 + i)
 
 
-def test_multiple_ratio_numerators():
+def test_twisted_ratio_numerators():
     got = []
-    for start, nums in multiple_ratio_numerators(5, 0, 123, segment_size=64):
-        got.extend(int(v) for v in nums)
+    for lo, hi in ((1, 65), (65, 124)):  # two segments, as the engine chunks them
+        nums = segment_ratio_numerators(sieve_segment(lo, hi))
+        got.extend(int(v) for v in twisted_ratio_numerators(5, lo, nums))
     assert len(got) == 123
     for i, v in enumerate(got, start=1):
         assert DyadicValue(v) == divisor_ratio(5 * i), i
+    with pytest.raises(ValueError):
+        twisted_ratio_numerators(4, 1, segment_ratio_numerators(sieve_segment(1, 9)))

@@ -1,10 +1,14 @@
 import os
+import tempfile
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divsum import digitset
-from divsum.multiplicative import DyadicValue, divisor_ratio_brute
+from divsum.multiplicative import MAX_SEGMENT_CELLS, DyadicValue, divisor_ratio_brute
 from divsum.sums import (
     CheckpointFormatError,
     EngineConfig,
@@ -43,6 +47,8 @@ def test_config_validation():
         EngineConfig(limit=10, q_list=(4,))
     with pytest.raises(ValueError):
         EngineConfig(limit=10, thread_count=0)
+    with pytest.raises(ValueError, match="segment_size"):
+        EngineConfig(limit=10, segment_size=MAX_SEGMENT_CELLS + 1)
 
 
 def test_accumulate_limit_10():
@@ -77,7 +83,7 @@ def test_twisted_sieve_path_matches_naive():
     from divsum.multiplicative import divisor_ratio
 
     for q in (1, 3, 7):
-        limit = 2500  # above the per-n cutoff, so the sieve path runs
+        limit = 2500
         got = twisted_sum(q, limit, segment_size=512)
         want = DyadicValue.zero()
         for n in range(1, limit + 1):
@@ -93,6 +99,8 @@ def test_twisted_rejects():
         twisted_sum(1, -1)
     with pytest.raises(ValueError):
         twisted_sum(7, 10**10)
+    with pytest.raises(ValueError, match="segment_size"):
+        twisted_sum(1, 10, segment_size=MAX_SEGMENT_CELLS + 1)
 
 
 def test_exact_identities_at_checkpoints():
@@ -102,7 +110,7 @@ def test_exact_identities_at_checkpoints():
         assert cp.S_A.numerator - cp.S_B.numerator == cp.twisted[5][cp.x // 5].numerator
         assert cp.S.numerator >= cp.x << 32
         assert cp.count_nonA == digitset.count_non_a(cp.x)
-        # twisted series at q=1 independently reproduces the total sum
+        # twisted series at q=1 reproduces the total sum
         assert cp.twisted[1][cp.x] == cp.S
 
 
@@ -232,3 +240,63 @@ def test_resume_rejects_mismatched_q_list(tmp_path):
     save_checkpoints(str(p), accumulate(EngineConfig(limit=100, q_list=(1,))))
     with pytest.raises(CheckpointFormatError, match="q="):
         accumulate(EngineConfig(limit=1000, q_list=(1, 5), resume_path=str(p)))
+
+
+def test_resume_rejects_missing_twisted_stop(tmp_path):
+    p = tmp_path / "cp.csv"
+    save_checkpoints(str(p), accumulate(EngineConfig(limit=100, q_list=(5,))))
+    rows = p.read_text().splitlines(keepends=True)
+    p.write_text("".join(rows[:-1]))  # drop the row of x=100, q=5, m=100
+    with pytest.raises(CheckpointFormatError, match="stops"):
+        accumulate(EngineConfig(limit=1000, q_list=(5,), resume_path=str(p)))
+
+
+PROPERTY_MAX_LIMIT = 3000
+
+
+@lru_cache(maxsize=None)
+def _brute_twisted_prefix(q: int) -> list[int]:
+    """prefix[m] = sum_{n<=m} ratio(q n) numerators, by divisor enumeration."""
+    prefix = [0]
+    for n in range(1, PROPERTY_MAX_LIMIT + 1):
+        prefix.append(prefix[-1] + divisor_ratio_brute(q * n).numerator)
+    return prefix
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    qs=st.sets(st.sampled_from((1, 2, 3, 5, 7, 11, 13)), min_size=1, max_size=3),
+    limit=st.integers(1, PROPERTY_MAX_LIMIT),
+    segment_size=st.integers(1, 4096),
+    threads=st.sampled_from((1, 2)),
+    data=st.data(),
+)
+def test_twisted_stops_and_resume_match_brute_force(qs, limit, segment_size, threads, data):
+    q_list = tuple(sorted(qs))
+    schedule = checkpoint_schedule(limit)
+    # resume from the first k checkpoints (k = 0: a header-only file)
+    k = data.draw(st.integers(0, len(schedule)), label="resume_prefix")
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh_p = os.path.join(tmp, "fresh.csv")
+        resume_p = os.path.join(tmp, "resume.csv")
+        save_checkpoints(fresh_p, accumulate(EngineConfig(limit=limit, q_list=q_list)))
+        prefix = accumulate(EngineConfig(limit=schedule[k - 1], q_list=q_list)) if k else []
+        save_checkpoints(resume_p, prefix)
+        cfg = EngineConfig(
+            limit=limit,
+            q_list=q_list,
+            segment_size=segment_size,
+            thread_count=threads,
+            resume_path=resume_p,
+        )
+        resumed = accumulate(cfg)
+        save_checkpoints(resume_p, resumed)
+        with open(fresh_p, "rb") as a, open(resume_p, "rb") as b:
+            assert a.read() == b.read()
+    for q in q_list:
+        want = _brute_twisted_prefix(q)
+        for cp in resumed:
+            assert set(cp.twisted[q]) == {cp.x // q, cp.x}
+            for m, value in cp.twisted[q].items():
+                assert value.numerator == want[m], (q, cp.x, m)
+        assert twisted_sum(q, limit, segment_size).numerator == want[limit]
