@@ -23,7 +23,6 @@ from .dirichlet import (
 from .multiplicative import (
     SCALE_EXP,
     DyadicValue,
-    SegmentTable,
     divisor_count,
     divisor_ratio,
     divisor_ratio_brute,

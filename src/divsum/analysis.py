@@ -74,6 +74,8 @@ def compare_main_term(
         elif quantity == "twisted":
             if q is None:
                 raise ValueError("twisted comparison needs q")
+            if cp.x not in cp.twisted.get(q, {}):
+                raise ValueError(f"checkpoint x={cp.x} has no twisted series for q={q}")
             value = cp.twisted[q][cp.x].to_float()
         else:
             raise ValueError(f"unknown quantity {quantity!r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import random
 import sys
@@ -47,10 +48,9 @@ def parse_count(text) -> int:
         return int(s)
     except ValueError:
         f = float(s)
-        n = int(f)
-        if f != n:
+        if not (math.isfinite(f) and f == int(f)):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-        return n
+        return int(f)
 
 
 def _parse_q_list(text: str) -> tuple[int, ...]:
@@ -411,7 +411,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, sums.CheckpointFormatError) as e:
+    except (ValueError, OSError, sums.CheckpointFormatError, argparse.ArgumentTypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

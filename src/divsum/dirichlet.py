@@ -23,7 +23,6 @@ from mpmath import mp, mpf
 from . import ddouble as dd
 from .multiplicative import (
     SCALE_EXP,
-    segment_ratio_numerators,
     sieve_segment,
     twisted_ratio_numerators,
 )
@@ -279,7 +278,7 @@ def dirichlet_lhs(q: int, s: float, terms: int) -> tuple[float, float]:
     value = 0.0
     for lo in range(1, terms + 1, LHS_CHUNK):
         hi = min(lo + LHS_CHUNK, terms + 1)
-        nums = twisted_ratio_numerators(q, lo, segment_ratio_numerators(sieve_segment(lo, hi)))
+        nums = twisted_ratio_numerators(q, lo, sieve_segment(lo, hi))
         n = np.arange(lo, hi, dtype=np.float64)
         value += float(np.sum(nums.astype(np.float64) * scale * n ** (-s)))
     tail = 4.0 * (math.log(terms) + 2.0) / terms ** (s - 1.0 - 0.25)

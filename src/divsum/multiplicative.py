@@ -1,10 +1,12 @@
-"""Exact divisor counts and the divisor ratio d(n)/2^omega(n).
+"""The divisor ratio d(n)/2^omega(n): exact values, sieve and oracles.
 
 The ratio is multiplicative with value (k+1)/2 at a prime power p^k, so any
 value for n < 2^64 is a dyadic rational with denominator at most 2^15.  All
 sums of ratios are therefore accumulated exactly as integers at a fixed
 power-of-two scale (SCALE_EXP), which keeps parallel reductions
-order-independent and bit-for-bit reproducible.
+order-independent and bit-for-bit reproducible.  The segmented sieve yields
+those scaled numerators directly; d(n) and omega(n) themselves are computed
+only per n, by factorize and by the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -72,16 +74,6 @@ class DyadicValue:
 
     def __repr__(self):
         return f"DyadicValue({self.numerator}/2^{self.scale_exp})"
-
-
-@dataclass(frozen=True)
-class SegmentTable:
-    """Dense d(n) and omega(n) over the half-open range [lo, hi)."""
-
-    lo: int
-    hi: int
-    d_values: np.ndarray
-    omega_values: np.ndarray
 
 
 def factorize(n: int) -> Factorization:
@@ -157,12 +149,14 @@ def divisor_ratio_brute(n: int) -> DyadicValue:
     return DyadicValue(num)
 
 
-def sieve_segment(lo: int, hi: int) -> SegmentTable:
-    """d(n) and omega(n) for all n in [lo, hi) via prime-power striding.
+def sieve_segment(lo: int, hi: int) -> np.ndarray:
+    """Scaled ratio numerators ratio(n) * 2^SCALE_EXP for all n in [lo, hi).
 
-    For each prime p <= sqrt(hi-1) and power p^k, entries divisible by p^k
-    upgrade their divisor-count factor from k to k+1 (exact integer update);
-    whatever remains > 1 after stripping those primes is one large prime.
+    The ratio is 1 at every prime, so only prime powers p^k with k >= 2
+    (p <= sqrt(hi-1)) are strided: entries divisible by p^(k+1) move their
+    p-factor from (k+1)/2 to (k+2)/2, exact because (k+1) divides d(n).
+    Guards against int64 overflow of a subsequent full-segment sum: raises
+    instead of wrapping.
     """
     if not (1 <= lo <= hi):
         raise ValueError(f"need 1 <= lo <= hi (got [{lo}, {hi}))")
@@ -173,42 +167,27 @@ def sieve_segment(lo: int, hi: int) -> SegmentTable:
         raise MemoryError(
             f"segment of {size} cells exceeds budget {MAX_SEGMENT_CELLS}"
         )
-    if size == 0:
-        return SegmentTable(lo, hi, np.empty(0, np.int64), np.empty(0, np.int8))
-    rem = np.arange(lo, hi, dtype=np.int64)
-    d = np.ones(size, dtype=np.int64)
-    om = np.zeros(size, dtype=np.int8)
+    num = np.full(size, 1 << SCALE_EXP, dtype=np.int64)
     top = hi - 1
     for p in primes_upto(isqrt(top)):
         p = int(p)
-        idx = np.arange((-lo) % p, size, p)
-        if idx.size == 0:
-            continue
-        om[idx] += 1
-        rem[idx] //= p
-        d[idx] *= 2
-        pk = p * p
-        k = 1
+        pk, k = p * p, 1
         while pk <= top:
-            s2 = (-lo) % pk
-            idx2 = np.arange(s2, size, pk)
-            if idx2.size == 0:
-                break
-            rem[idx2] //= p
-            d[idx2] = d[idx2] // (k + 1) * (k + 2)
+            cells = num[(-lo) % pk :: pk]
+            cells //= k + 1
+            cells *= k + 2
             pk *= p
             k += 1
-    big = rem > 1
-    d[big] *= 2
-    om[big] += 1
-    return SegmentTable(lo, hi, d, om)
+    if size and int(num.max()) * size >= 1 << 63:
+        raise OverflowError("segment sum would overflow int64")
+    return num
 
 
 def twisted_ratio_numerators(q: int, lo: int, num: np.ndarray) -> np.ndarray:
     """Scaled numerators of the ratio at q*n for n = lo .. lo+len(num)-1.
 
-    num holds the numerators of the ratio at n itself (segment_ratio_numerators
-    of the segment starting at lo).  For q prime and a = v_q(n): when a = 0,
+    num holds the numerators of the ratio at n itself (sieve_segment of the
+    segment starting at lo).  For q prime and a = v_q(n): when a = 0,
     q adds one prime to both d and 2^omega, so ratio(qn) = ratio(n); when
     a >= 1, ratio(qn) = ratio(n) * (a+2)/(a+1), exact because (a+1) divides
     d(n).  q = 1 returns num unchanged.
@@ -229,18 +208,3 @@ def twisted_ratio_numerators(q: int, lo: int, num: np.ndarray) -> np.ndarray:
     if int(out.max()) * out.size >= 1 << 63:
         raise OverflowError("segment sum would overflow int64")
     return out
-
-
-def segment_ratio_numerators(table: SegmentTable) -> np.ndarray:
-    """Scaled ratio numerators d(n) * 2^(SCALE_EXP - omega(n)) for a segment.
-
-    Guards against int64 overflow of a subsequent full-segment sum: raises
-    instead of wrapping.
-    """
-    om = table.omega_values.astype(np.int64)
-    if om.size and int(om.max()) > SCALE_EXP:
-        raise OverflowError("omega exceeds dyadic scale")
-    num = table.d_values << (SCALE_EXP - om)
-    if num.size and int(num.max()) * num.size >= 1 << 63:
-        raise OverflowError("segment sum would overflow int64")
-    return num

@@ -13,23 +13,17 @@ import numpy as np
 
 DEFAULT_BLOCK = 1 << 23
 
-_cache_limit = 0
-_cache_primes = np.empty(0, dtype=np.int64)
-
 
 def primes_upto(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending int64 array (memoized, grow-only)."""
-    global _cache_limit, _cache_primes
-    if limit <= _cache_limit:
-        return _cache_primes[: np.searchsorted(_cache_primes, limit, "right")]
+    """All primes <= limit, ascending int64 array."""
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
     is_p = np.ones(limit + 1, dtype=bool)
     is_p[:2] = False
     for p in range(2, isqrt(limit) + 1):
         if is_p[p]:
             is_p[p * p :: p] = False
-    _cache_primes = np.nonzero(is_p)[0].astype(np.int64)
-    _cache_limit = limit
-    return _cache_primes
+    return np.nonzero(is_p)[0].astype(np.int64)
 
 
 def prime_blocks(limit: int, block: int = DEFAULT_BLOCK):

@@ -26,7 +26,6 @@ from .multiplicative import (
     MAX_SEGMENT_CELLS,
     SCALE_EXP,
     DyadicValue,
-    segment_ratio_numerators,
     sieve_segment,
     twisted_ratio_numerators,
 )
@@ -129,7 +128,7 @@ def _segment_ranges(lo_n: int, hi_n: int, segment_size: int):
 def _segment_class_sums(args) -> tuple[int, ...]:
     """(S, S_A, S_B, T_nonA, count_nonA, twisted per q) numerator sums over [lo, hi)."""
     lo, hi, q_list = args
-    num = segment_ratio_numerators(sieve_segment(lo, hi))
+    num = sieve_segment(lo, hi)
     # the twisted sums go first, while num is the only large live array
     twisted = tuple(int(twisted_ratio_numerators(q, lo, num).sum()) for q in q_list)
     n = np.arange(lo, hi, dtype=np.int64)
@@ -273,14 +272,24 @@ def accumulate(config: EngineConfig) -> list[Checkpoint]:
 
 
 def save_checkpoints(path: str, checkpoints: list[Checkpoint]) -> None:
-    """Write the canonical checkpoint CSV (UTF-8, LF, integer numerators)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(CSV_HEADER)
-        for cp in sorted(checkpoints, key=lambda c: c.x):
-            for q in sorted(cp.twisted):
-                for m in sorted(cp.twisted[q]):
-                    w.writerow([cp.x, SCALE_EXP, *cp.core, q, m, cp.twisted[q][m].numerator])
+    """Write the canonical checkpoint CSV (UTF-8, LF, integer numerators).
+
+    The rows go to a temporary file next to path, which then replaces path
+    in one step, so a write that fails part-way leaves the old file intact.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(CSV_HEADER)
+            for cp in sorted(checkpoints, key=lambda c: c.x):
+                for q in sorted(cp.twisted):
+                    for m in sorted(cp.twisted[q]):
+                        w.writerow([cp.x, SCALE_EXP, *cp.core, q, m, cp.twisted[q][m].numerator])
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoints(path: str) -> list[Checkpoint]:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -18,6 +19,14 @@ def test_parse_count_shorthand():
     assert parse_count("2_000") == 2000
     with pytest.raises(Exception):
         parse_count("1.5")
+    for text in ("1e400", "-1e400", "inf", "nan"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_count(text)
+
+
+def test_non_finite_count_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "sum", "--limit", "1e400")
+    assert code == 2 and "--limit" in err
 
 
 def test_classify(capsys):
@@ -198,3 +207,15 @@ def test_oversize_segment_rejected_before_sieving(tmp_path, capsys, monkeypatch)
     )
     assert code == 1 and "segment_size" in err
     assert not cp.exists()
+
+
+def test_fit_twisted_missing_q_is_error(tmp_path, capsys):
+    cp = str(tmp_path / "cp.csv")
+    assert run_cli(capsys, "sum", "--limit", "1000", "--q", "1,5", "--checkpoints", cp)[0] == 0
+    code, out, err = run_cli(
+        capsys, "fit", "--checkpoints", cp, "--quantity", "twisted:11", "--slope", "1.5"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "q=11" in err
+    code, _, err = run_cli(capsys, "fit", "--checkpoints", cp, "--quantity", "twisted:1.5")
+    assert code == 1 and err.startswith("error:") and "not an integer" in err

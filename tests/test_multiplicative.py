@@ -4,6 +4,8 @@ from math import gcd, isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divsum.multiplicative import (
     SCALE_EXP,
@@ -12,7 +14,6 @@ from divsum.multiplicative import (
     divisor_ratio,
     divisor_ratio_brute,
     factorize,
-    segment_ratio_numerators,
     sieve_segment,
     twisted_ratio_numerators,
     unitary_divisor_count,
@@ -137,14 +138,18 @@ def test_dyadic_arithmetic():
         DyadicValue.from_ratio(1, SCALE_EXP + 1)
 
 
+def _sieve_ratios(lo: int, hi: int) -> list[DyadicValue]:
+    nums = sieve_segment(lo, hi)
+    assert nums.dtype == np.int64 and nums.size == hi - lo
+    return [DyadicValue(int(v)) for v in nums]
+
+
 def test_sieve_examples():
-    t = sieve_segment(1, 11)
-    assert list(t.d_values) == [1, 2, 2, 3, 2, 4, 2, 4, 3, 4]
-    assert list(t.omega_values) == [0, 1, 1, 1, 1, 2, 1, 1, 1, 2]
-    t = sieve_segment(10**6, 10**6 + 3)
-    assert t.d_values[0] == 49 and t.omega_values[0] == 2
-    t = sieve_segment(5, 5)
-    assert t.d_values.size == 0
+    ratios = [v.as_fraction() for v in _sieve_ratios(1, 11)]
+    assert ratios == [1, 1, 1, Fraction(3, 2), 1, 1, 1, 2, Fraction(3, 2), 1]
+    # 10^6 = 2^6 5^6: d = 49, omega = 2
+    assert _sieve_ratios(10**6, 10**6 + 3)[0] == DyadicValue.from_ratio(49, 2)
+    assert _sieve_ratios(5, 5) == []
 
 
 def test_sieve_matches_factorize_on_segments():
@@ -154,11 +159,31 @@ def test_sieve_matches_factorize_on_segments():
         lo = rng.randrange(1, 10**8)
         segments.append((lo, lo + 1000))
     for lo, hi in segments:
-        t = sieve_segment(lo, hi)
+        ratios = _sieve_ratios(lo, hi)
         for i in range(0, hi - lo, 7):
             f = factorize(lo + i)
-            assert t.d_values[i] == divisor_count(f), lo + i
-            assert t.omega_values[i] == len(f), lo + i
+            assert ratios[i] == DyadicValue.from_ratio(divisor_count(f), len(f)), lo + i
+    ratios = _sieve_ratios(100, 600)
+    for i in (0, 7, 499):
+        assert ratios[i] == divisor_ratio(100 + i)
+    # the last cell is a prime square, so p = isqrt(hi - 1) must be strided
+    for p in (2, 3, 7, 1_048_573):
+        lo, hi = max(1, p * p - 3), p * p + 1
+        assert _sieve_ratios(lo, hi) == [divisor_ratio(n) for n in range(lo, hi)]
+
+
+@st.composite
+def _windows(draw):
+    top = 1 << draw(st.integers(1, 40))
+    lo = draw(st.integers(1, top))
+    return lo, min(lo + draw(st.integers(0, 40)), 1 << 40)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_windows())
+def test_sieve_matches_divisor_ratio_on_random_windows(window):
+    lo, hi = window
+    assert _sieve_ratios(lo, hi) == [divisor_ratio(n) for n in range(lo, hi)]
 
 
 def test_sieve_rejects():
@@ -172,20 +197,13 @@ def test_sieve_rejects():
         sieve_segment(1, (1 << 40) + 1)
 
 
-def test_segment_numerators_match_pointwise():
-    t = sieve_segment(100, 600)
-    nums = segment_ratio_numerators(t)
-    for i in (0, 7, 499):
-        assert DyadicValue(int(nums[i])) == divisor_ratio(100 + i)
-
-
 def test_twisted_ratio_numerators():
     got = []
     for lo, hi in ((1, 65), (65, 124)):  # two segments, as the engine chunks them
-        nums = segment_ratio_numerators(sieve_segment(lo, hi))
+        nums = sieve_segment(lo, hi)
         got.extend(int(v) for v in twisted_ratio_numerators(5, lo, nums))
     assert len(got) == 123
     for i, v in enumerate(got, start=1):
         assert DyadicValue(v) == divisor_ratio(5 * i), i
     with pytest.raises(ValueError):
-        twisted_ratio_numerators(4, 1, segment_ratio_numerators(sieve_segment(1, 9)))
+        twisted_ratio_numerators(4, 1, sieve_segment(1, 9))

@@ -1,5 +1,6 @@
 import os
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -171,6 +172,20 @@ def test_roundtrip(tmp_path):
     again = p.read_bytes()
     save_checkpoints(str(p), cps)
     assert p.read_bytes() == again
+
+
+def test_failed_save_keeps_previous_file(tmp_path):
+    cps = accumulate(EngineConfig(limit=200, q_list=(1, 5)))
+    p = tmp_path / "cp.csv"
+    save_checkpoints(str(p), cps)
+    before = p.read_bytes()
+    # the last checkpoint's value is unwritable, so the writer raises after
+    # the rows of every earlier checkpoint have gone out
+    broken = replace(cps[-1], twisted={1: {200: None}})
+    with pytest.raises(AttributeError):
+        save_checkpoints(str(p), [*cps[:-1], broken])
+    assert p.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["cp.csv"]
 
 
 def test_empty_checkpoint_file(tmp_path):
