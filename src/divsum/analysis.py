@@ -52,22 +52,17 @@ def _row(x: int, empirical: float, slope: float) -> ComparisonRow:
     )
 
 
-def compare_main_term(
-    checkpoints: list[Checkpoint],
-    slope: float,
-    quantity: str = "S",
-    q: int | None = None,
-) -> list[ComparisonRow]:
-    """Empirical-vs-linear rows for one quantity across checkpoints.
+def quantity_values(
+    checkpoints: list[Checkpoint], quantity: str = "S", q: int | None = None
+) -> list[tuple[int, float]]:
+    """(x, value) of one quantity at each checkpoint, in increasing x.
 
     quantity is one of S, S_A, S_B, T_nonA, or "twisted" with q given, in
-    which case the series value at stop m = x is compared against slope*x.
+    which case the value is the series at stop m = x.
     """
     if not checkpoints:
         raise ValueError("need at least one checkpoint")
-    if not slope > 0:
-        raise ValueError("slope must be positive")
-    rows = []
+    values = []
     for cp in sorted(checkpoints, key=lambda c: c.x):
         if quantity in _QUANTITIES:
             value = getattr(cp, quantity).to_float()
@@ -79,8 +74,20 @@ def compare_main_term(
             value = cp.twisted[q][cp.x].to_float()
         else:
             raise ValueError(f"unknown quantity {quantity!r}")
-        rows.append(_row(cp.x, value, slope))
-    return rows
+        values.append((cp.x, value))
+    return values
+
+
+def compare_main_term(
+    checkpoints: list[Checkpoint],
+    slope: float,
+    quantity: str = "S",
+    q: int | None = None,
+) -> list[ComparisonRow]:
+    """Empirical-vs-linear rows of quantity_values against slope * x."""
+    if not slope > 0:
+        raise ValueError("slope must be positive")
+    return [_row(x, value, slope) for x, value in quantity_values(checkpoints, quantity, q)]
 
 
 def corrected_theorem_rows(

@@ -356,6 +356,8 @@ def _cmd_fit(args) -> int:
     if quantity.startswith("twisted:"):
         q = parse_count(quantity.split(":", 1)[1])
         quantity = "twisted"
+    # a quantity the CSV lacks fails here, before the Euler product runs
+    analysis.quantity_values(checkpoints, quantity, q)
     if slope is None:
         c1 = dirichlet.euler_product_C(1.0, args.prime_limit)
         if quantity == "S_B":

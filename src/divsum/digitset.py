@@ -6,13 +6,22 @@ B is the part of A not itself divisible by 5.  Because a number is divisible
 by 5 exactly when its last digit is 0 or 5, membership in A reduces to
 "contains a digit 0 or 5"; the equivalence is argued in the README and
 property-tested against explicit permutation witnesses.
+
+has_zero_or_five answers that question for a whole range at once.  It
+walks the range in 10^4-aligned blocks n = h*10^4 + r.  The high part h is
+one Python int per block: when str(h) holds a 0 or 5 the whole block is
+True, otherwise the block is a slice of a 10^4-entry table over the four
+zero-padded low digits r (or over r itself, unpadded, when h = 0).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 from math import floor, log
+
+import numpy as np
 
 # digits allowed in the complement of A
 NON_A_DIGITS = frozenset("12346789")
@@ -22,6 +31,26 @@ NON_A_EXPONENT = log(8.0) / log(10.0)
 
 MAX_CLASSIFY = 1 << 64
 MAX_WITNESS = 10**18
+
+_BLOCK = 10**4
+
+
+@cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(padded, unpadded): does r in [0, 10^4) show a 0 or 5 among its digits.
+
+    padded reads r as four digits with leading zeros, the low part of some
+    n >= 10^4; unpadded reads r as written, for n = r < 10^4.  Built on
+    first use, so importing the module costs nothing; both are read-only,
+    because every caller shares them.
+    """
+    r = np.arange(_BLOCK)
+    hits = [r // 10**i % 10 % 5 == 0 for i in range(4)]  # digit i of r is 0 or 5
+    padded = np.any(hits, axis=0)
+    # digit i >= 1 exists only when r >= 10^i (entry 0 is never read: n >= 1)
+    unpadded = np.any([hit & (r >= 10**i) for i, hit in enumerate(hits)], axis=0)
+    padded.flags.writeable = unpadded.flags.writeable = False
+    return padded, unpadded
 
 
 class DigitClass(enum.Enum):
@@ -64,6 +93,27 @@ def classify(n: int) -> DigitClass:
     if "0" in s or "5" in s:
         return DigitClass.B_MEMBER
     return DigitClass.NON_A
+
+
+def has_zero_or_five(lo: int, hi: int) -> np.ndarray:
+    """Bool array over n in [lo, hi): does n have a decimal digit 0 or 5."""
+    if not 1 <= lo <= hi:
+        raise ValueError(f"need 1 <= lo <= hi (got [{lo}, {hi}))")
+    padded, unpadded = _digit_tables()
+    out = np.empty(hi - lo, dtype=bool)
+    a = lo
+    while a < hi:
+        h, r = divmod(a, _BLOCK)
+        b = min(hi, (h + 1) * _BLOCK)
+        cells = out[a - lo : b - lo]
+        if h == 0:
+            cells[:] = unpadded[r : r + b - a]
+        elif NON_A_DIGITS.issuperset(str(h)):
+            cells[:] = padded[r : r + b - a]
+        else:
+            cells[:] = True
+        a = b
+    return out
 
 
 def _smallest_with_suffix(counts: list[int], last: int) -> str | None:

@@ -7,12 +7,20 @@ power-of-two scale (SCALE_EXP), which keeps parallel reductions
 order-independent and bit-for-bit reproducible.  The segmented sieve yields
 those scaled numerators directly; d(n) and omega(n) themselves are computed
 only per n, by factorize and by the brute-force oracle.
+
+The twisted series sum ratio(q n) over a segment needs no per-cell pass.
+Let L_k be the sum of the numerators of the cells with q^k | n, one strided
+slice each (L_0 = S, the segment sum; L_k = 0 once q^k exceeds the segment
+top).  The cells with v_q(n) = k sum to L_k - L_{k+1} and each gains
+1/(k+1) of itself, so the segment contributes
+S + sum_{k>=1} (L_k - L_{k+1}) / (k+1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count
 from math import gcd, isqrt
 
 import numpy as np
@@ -77,15 +85,17 @@ class DyadicValue:
 
 
 def factorize(n: int) -> Factorization:
-    """Trial division by primes up to sqrt(n); residual > 1 is prime."""
+    """Trial division by 2, 3 and every 6k +- 1 while p*p <= rest; a rest > 1 is prime.
+
+    It needs no prime table, so this oracle shares no code with sieve_segment.
+    """
     if n < 1:
         raise ValueError(f"factorize expects n >= 1 (got {n})")
     if n >= MAX_FACTORIZE:
         raise ValueError(f"factorize supports n < 2^63 (got {n})")
     factors: Factorization = []
     rem = n
-    for p in primes_upto(isqrt(n)):
-        p = int(p)
+    for p in chain((2, 3), chain.from_iterable(zip(count(5, 6), count(7, 6)))):
         if p * p > rem:
             break
         if rem % p == 0:
@@ -208,3 +218,31 @@ def twisted_ratio_numerators(q: int, lo: int, num: np.ndarray) -> np.ndarray:
     if int(out.max()) * out.size >= 1 << 63:
         raise OverflowError("segment sum would overflow int64")
     return out
+
+
+def twisted_ratio_sum(q: int, lo: int, num: np.ndarray) -> int:
+    """Sum of twisted_ratio_numerators(q, lo, num), from strided level sums.
+
+    Returns S + sum_{k>=1} (L_k - L_{k+1}) / (k+1) (see the module
+    docstring).  Each division is exact, because every cell with
+    v_q(n) = k has a numerator divisible by k+1; a remainder raises.  Each
+    L_k is a partial sum of num, so sieve_segment's int64 overflow guard on
+    the full sum covers it.
+    """
+    if q != 1 and not is_prime(q):
+        raise ValueError(f"q must be 1 or prime (got {q})")
+    total = int(num.sum())
+    if q == 1:
+        return total
+    top = lo + num.size - 1
+    levels = []  # L_1, L_2, ... while q^k <= top
+    qk = q
+    while qk <= top:
+        levels.append(int(num[(-lo) % qk :: qk].sum()))
+        qk *= q
+    for k, (here, above) in enumerate(zip(levels, [*levels[1:], 0]), start=1):
+        gain, rest = divmod(here - above, k + 1)
+        if rest:
+            raise ArithmeticError(f"level {k} sum of q={q} at lo={lo} is not divisible by {k + 1}")
+        total += gain
+    return total

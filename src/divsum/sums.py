@@ -5,7 +5,10 @@ total sum S, the restricted sums S_A / S_B, the complement sum T_nonA, the
 complement count and, for each q, the twisted series sum_{n<=m} ratio(q n).
 The twisted terms come from the same sieve table: with a = v_q(n),
 ratio(q n) = ratio(n) when a = 0 and ratio(n) * (a+2)/(a+1) otherwise, so
-no value above the limit is sieved.  The twisted series is kept at two stop
+no value above the limit is sieved.  Per segment they reduce to one strided
+sum per power of q (multiplicative.twisted_ratio_sum), and the digit classes
+come from digitset.has_zero_or_five, a 10^4-entry table read block by block,
+plus a stride of 5; no stage loops per cell, digit or valuation.  The twisted series is kept at two stop
 conventions per checkpoint x: m = x//q (used by the five-multiple split
 identity) and m = x (used by the linear-main-term checks); both are segment
 boundaries of the pass.  Because every reduction is integer addition,
@@ -27,7 +30,7 @@ from .multiplicative import (
     SCALE_EXP,
     DyadicValue,
     sieve_segment,
-    twisted_ratio_numerators,
+    twisted_ratio_sum,
 )
 from .primes import is_prime
 
@@ -129,25 +132,17 @@ def _segment_class_sums(args) -> tuple[int, ...]:
     """(S, S_A, S_B, T_nonA, count_nonA, twisted per q) numerator sums over [lo, hi)."""
     lo, hi, q_list = args
     num = sieve_segment(lo, hi)
-    # the twisted sums go first, while num is the only large live array
-    twisted = tuple(int(twisted_ratio_numerators(q, lo, num).sum()) for q in q_list)
-    n = np.arange(lo, hi, dtype=np.int64)
-    mult5 = n % 5 == 0
-    has05 = np.zeros(hi - lo, dtype=bool)
-    v = n.copy()
-    while True:
-        live = v > 0
-        if not live.any():
-            break
-        dig = v % 10
-        has05 |= ((dig == 0) | (dig == 5)) & live
-        v //= 10
+    twisted = tuple(twisted_ratio_sum(q, lo, num) for q in q_list)
+    has05 = digitset.has_zero_or_five(lo, hi)
+    mult5 = np.zeros(hi - lo, dtype=bool)
+    mult5[(-lo) % 5 :: 5] = True
     in_a = mult5 | has05
+    non_a = ~in_a
     s_all = int(num.sum())
     s_a = int(num[in_a].sum())
     s_b = int(num[has05 & ~mult5].sum())
-    t_non = int(num[~in_a].sum())
-    cnt = int((~in_a).sum())
+    t_non = int(num[non_a].sum())
+    cnt = int(np.count_nonzero(non_a))
     return (s_all, s_a, s_b, t_non, cnt, *twisted)
 
 

@@ -1,9 +1,13 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from divsum import dirichlet
 from divsum.cli import main, parse_count
 
 
@@ -209,7 +213,7 @@ def test_oversize_segment_rejected_before_sieving(tmp_path, capsys, monkeypatch)
     assert not cp.exists()
 
 
-def test_fit_twisted_missing_q_is_error(tmp_path, capsys):
+def test_fit_twisted_missing_q_is_error(tmp_path, capsys, monkeypatch):
     cp = str(tmp_path / "cp.csv")
     assert run_cli(capsys, "sum", "--limit", "1000", "--q", "1,5", "--checkpoints", cp)[0] == 0
     code, out, err = run_cli(
@@ -219,3 +223,24 @@ def test_fit_twisted_missing_q_is_error(tmp_path, capsys):
     assert err.startswith("error:") and "q=11" in err
     code, _, err = run_cli(capsys, "fit", "--checkpoints", cp, "--quantity", "twisted:1.5")
     assert code == 1 and err.startswith("error:") and "not an integer" in err
+
+    # without --slope, the missing q is reported before the Euler product runs
+    def no_product(*args, **kwargs):
+        raise AssertionError("euler_product_C called before the quantity was checked")
+
+    monkeypatch.setattr(dirichlet, "euler_product_C", no_product)
+    code, out, err = run_cli(capsys, "fit", "--checkpoints", cp, "--quantity", "twisted:11")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "no twisted series for q=11" in err
+
+
+def test_python_dash_m_runs_from_source_tree():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "divsum", "classify", "51"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"n": 51, "class": "B", "witness": "15"}

@@ -2,12 +2,15 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divsum.digitset import (
     DigitClass,
     DigitMultiset,
     classify,
     count_non_a,
+    has_zero_or_five,
     non_a_bound,
     permutation_witness,
 )
@@ -145,3 +148,32 @@ def test_count_rejects_negative():
         count_non_a(-1)
     with pytest.raises(ValueError):
         non_a_bound(0.5)
+
+
+def _in_a(lo, hi):
+    return [classify(n) is not DigitClass.NON_A for n in range(lo, hi)]
+
+
+@st.composite
+def _digit_windows(draw):
+    lo = draw(st.integers(1, 1 << draw(st.integers(1, 40))))
+    return lo, lo + draw(st.integers(0, 30000))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_digit_windows())
+def test_has_zero_or_five_matches_classify_on_random_windows(window):
+    # a multiple of 5 ends in 0 or 5, so the digit test is exactly membership in A
+    lo, hi = window
+    assert has_zero_or_five(lo, hi).tolist() == _in_a(lo, hi)
+
+
+def test_has_zero_or_five_across_block_and_decade_edges():
+    windows = [(1, 2), (1, 10**4 + 50), (9, 12), (94, 106), (4990, 5010), (9990, 10011)]
+    windows += [(e - 12_345, e + 12_345) for e in (10**4 * 11, 10**8, 10**9)]
+    windows += [(10**4 * 1111 - 3, 10**4 * 1111 + 3), (10**9, 10**9)]
+    for lo, hi in windows:
+        assert has_zero_or_five(lo, hi).tolist() == _in_a(lo, hi), (lo, hi)
+    for lo, hi in ((0, 5), (5, 4)):
+        with pytest.raises(ValueError):
+            has_zero_or_five(lo, hi)

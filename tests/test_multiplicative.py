@@ -16,6 +16,7 @@ from divsum.multiplicative import (
     factorize,
     sieve_segment,
     twisted_ratio_numerators,
+    twisted_ratio_sum,
     unitary_divisor_count,
 )
 
@@ -210,3 +211,36 @@ def test_twisted_ratio_numerators():
         assert DyadicValue(v) == divisor_ratio(5 * i), i
     with pytest.raises(ValueError):
         twisted_ratio_numerators(4, 1, sieve_segment(1, 9))
+
+
+@st.composite
+def _twisted_windows(draw):
+    q = draw(st.sampled_from((1, 2, 3, 5, 7, 11, 13)))
+    if draw(st.booleans()):  # start on a multiple of a power of q
+        qk = draw(st.sampled_from([q**k for k in range(1, 40) if q**k <= 1 << 39]))
+        lo = qk * draw(st.integers(1, (1 << 39) // qk))
+    else:
+        lo = draw(st.integers(1, 1 << draw(st.integers(1, 40))))
+    width = draw(st.one_of(st.integers(0, q), st.integers(0, 5000)))
+    return q, lo, min(lo + width, 1 << 40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_twisted_windows())
+def test_twisted_ratio_sum_matches_numerators(window):
+    q, lo, hi = window
+    nums = sieve_segment(lo, hi)
+    assert twisted_ratio_sum(q, lo, nums) == int(twisted_ratio_numerators(q, lo, nums).sum())
+
+
+def test_twisted_ratio_sum_examples():
+    nums = sieve_segment(1, 1025)  # every level of q = 2 up to 2^10
+    for q in (1, 2, 3, 5, 7, 11, 13):
+        expected = sum(divisor_ratio(q * n).numerator for n in range(1, 1025))
+        assert twisted_ratio_sum(q, 1, nums) == expected, q
+    assert twisted_ratio_sum(7, 10**6, sieve_segment(10**6, 10**6)) == 0
+    with pytest.raises(ValueError):
+        twisted_ratio_sum(4, 1, nums)
+    # a numerator that d(n) cannot produce leaves a remainder
+    with pytest.raises(ArithmeticError):
+        twisted_ratio_sum(2, 2, np.ones(1, dtype=np.int64))
