@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import digitset
-from .sums import Checkpoint
+from .sums import Checkpoint, checkpoint_identities
 
 NORMALIZATION_EXPONENT = 0.6
 
@@ -209,19 +209,7 @@ def report(checkpoints: list[Checkpoint], constants: dict) -> str:
     slopes drive the residual sections.  Output is deterministic text.
     """
     cps = sorted(checkpoints, key=lambda c: c.x)
-    identities = []
-    for cp in cps:
-        q5 = cp.twisted.get(5, {}).get(cp.x // 5)
-        identities.append(
-            {
-                "x": cp.x,
-                "sum_split_exact": cp.S.numerator == cp.S_A.numerator + cp.T_nonA.numerator,
-                "five_split_exact": None
-                if q5 is None
-                else cp.S_A.numerator - cp.S_B.numerator == q5.numerator,
-                "non_a_count_matches": cp.count_nonA == digitset.count_non_a(cp.x),
-            }
-        )
+    identities = [{"x": cp.x, **checkpoint_identities(cp)} for cp in cps]
 
     slopes = {int(k): v for k, v in constants.get("slopes", {}).items()}
     lemma_slope = constants.get("lemma_constant")

@@ -175,6 +175,16 @@ def test_env_overrides(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["limit"] == 100
 
 
+def test_env_format_is_validated(capsys, monkeypatch):
+    monkeypatch.setenv("DIVSUM_FORMAT", "xml")
+    code, out, err = run_cli(capsys, "classify", "51")
+    assert code == 2 and out == ""
+    assert "--format" in err and "xml" in err
+    monkeypatch.setenv("DIVSUM_FORMAT", "csv")
+    code, out, _ = run_cli(capsys, "classify", "51")
+    assert code == 0 and out.splitlines()[0] == "n,class,witness"
+
+
 def test_pretty_output(capsys):
     code, out, _ = run_cli(capsys, "classify", "107", "--pretty")
     assert code == 0
@@ -244,3 +254,31 @@ def test_python_dash_m_runs_from_source_tree():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"n": 51, "class": "B", "witness": "15"}
+
+
+def test_failed_identity_refused_before_sieving(tmp_path, capsys, monkeypatch):
+    from divsum import sums
+
+    cp = tmp_path / "cp.csv"
+    assert run_cli(capsys, "sum", "--limit", "1000", "--q", "1,5", "--checkpoints", str(cp))[0] == 0
+    # twisted(5, 200) of checkpoint x=1000, off by one: S_A - S_B no longer matches it
+    lines = cp.read_text().splitlines(keepends=True)
+    (i,) = [i for i, line in enumerate(lines) if line.startswith("1000,") and ",5,200," in line]
+    *head, value = lines[i].rstrip("\n").split(",")
+    lines[i] = ",".join([*head, str(int(value) + 1)]) + "\n"
+    cp.write_text("".join(lines))
+    before = cp.read_bytes()
+
+    def no_sieve(lo, hi):
+        raise AssertionError("sieved before the checkpoint file was checked")
+
+    monkeypatch.setattr(sums, "sieve_segment", no_sieve)
+    for argv in (
+        ["sum", "--limit", "2000", "--q", "1,5", "--resume"],
+        ["report", "--prime-limit", "1000"],
+        ["fit", "--quantity", "S", "--slope", "1.5"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--checkpoints", str(cp))
+        assert code == 1 and out == "", argv
+        assert err.startswith("error:") and "x=1000" in err and "five_split_exact" in err, argv
+        assert cp.read_bytes() == before, argv

@@ -15,6 +15,7 @@ from divsum.sums import (
     EngineConfig,
     CSV_HEADER,
     accumulate,
+    checkpoint_identities,
     checkpoint_schedule,
     load_checkpoints,
     save_checkpoints,
@@ -213,6 +214,49 @@ def test_load_rejects_scale_mismatch(tmp_path):
     p.write_text(",".join(CSV_HEADER) + "\n10,16,1,1,0,0,8,1,10,1\n")
     with pytest.raises(CheckpointFormatError, match="scale_exp 16"):
         load_checkpoints(str(p))
+
+
+def _bump_field(path, column, select):
+    """Add 1 to column in every CSV row for which select(row) holds."""
+    lines = path.read_text().splitlines()
+    col = CSV_HEADER.index(column)
+    for i, line in enumerate(lines[1:], start=1):
+        row = line.split(",")
+        if select(dict(zip(CSV_HEADER, map(int, row)))):
+            row[col] = str(int(row[col]) + 1)
+            lines[i] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "column, x, q, m, identity",
+    [
+        ("S", 200, None, None, "sum_split_exact"),
+        ("twisted", 1000, 5, 200, "five_split_exact"),
+        ("count_nonA", 100, None, None, "non_a_count_matches"),
+    ],
+)
+def test_load_refuses_failed_identity(tmp_path, column, x, q, m, identity):
+    p = tmp_path / "cp.csv"
+    save_checkpoints(str(p), accumulate(EngineConfig(limit=1000, q_list=(1, 5))))
+    # one checkpoint's value off by one: every row of x, or its (q, m) row
+    _bump_field(
+        p,
+        column,
+        lambda r: r["x"] == x and q in (None, r["q"]) and m in (None, r["twisted_limit"]),
+    )
+    with pytest.raises(CheckpointFormatError) as err:
+        load_checkpoints(str(p))
+    assert str(err.value) == f"{p}: checkpoint x={x}: {identity} fails"
+
+
+def test_checkpoint_identities_without_q5():
+    for cp in accumulate(EngineConfig(limit=1000, q_list=(1,))):
+        assert checkpoint_identities(cp) == {
+            "sum_split_exact": True,
+            "five_split_exact": None,
+            "non_a_count_matches": True,
+        }
 
 
 def test_golden_csv_limit10(tmp_path):
