@@ -294,12 +294,14 @@ def _cmd_verify_dirichlet(args) -> int:
     # a row passes when |series - factorized| <= tolerance + series tail
     # estimate; the truncated series can honestly miss by its tail (at
     # s=1.5 and 1e6 terms that is ~3e-3), so the tolerance is extra slack
+    rhs_prime_limit = min(args.prime_limit, 10**6)
+    dirichlet.check_series_grid(args.q, args.s_grid, args.terms, rhs_prime_limit)
     rows = []
     failures = []
     for q in args.q:
         for s in args.s_grid:
             lhs, tail = dirichlet.dirichlet_lhs(q, s, args.terms)
-            rhs = dirichlet.dirichlet_rhs(q, s, min(args.prime_limit, 10**6))
+            rhs = dirichlet.dirichlet_rhs(q, s, rhs_prime_limit)
             gap = abs(lhs - rhs)
             allowed = args.tolerance + tail
             ok = gap <= allowed

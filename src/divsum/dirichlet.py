@@ -9,6 +9,13 @@ Truncating the product at P carries a certified log-scale tail bound:
 |log f_p| <= p^{-2s} for every prime p and s > 1/2 (since the factor is
 1 - u with 0 < u <= p^{-2s}/2 <= 0.18), and sum_{n>P} n^{-2s} <=
 P^{1-2s} / (2s-1) by integral comparison.
+
+The partial product itself is split at HEAD_PRIME_LIMIT.  The head
+primes are multiplied in mpmath at 128 bits; above them each factor
+contributes t_p = log1p(-x^2/2 + x^3/2), x = p^{-s}, summed in float64
+per fixed prime block, and the block sums are combined exactly by fsum
+in ascending order.  The float64 rounding of that tail is bounded
+explicitly (ProductEstimate.rounding_bound).
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, mpf
 
-from . import ddouble as dd
 from .multiplicative import (
     SCALE_EXP,
     sieve_segment,
@@ -31,37 +37,29 @@ from .primes import is_prime, prime_blocks, primes_upto
 DEFAULT_PRIME_LIMIT = 10**8  # flagship truncation for the s=1 constants
 RHS_PRIME_LIMIT = 10**5  # plenty for the series checks (tail <= 1e-10 at s>=1.5)
 FAST_PATH_PRIME_CAP = 1 << 31
-SLOW_PATH_PRIME_CAP = 2 * 10**6
+HEAD_PRIME_LIMIT = 1 << 12  # primes up to here are multiplied in mpmath
+HEAD_PREC = 128  # bits of the head product and of head * exp(tail)
 LHS_TERM_CAP = 10**8
 LHS_CHUNK = 1 << 20  # integers n sieved per step of the series sum
 
-# Bernoulli numbers B_2 .. B_26 (even index k -> B_k), classical values
-_BERNOULLI = {
-    2: Fraction(1, 6),
-    4: Fraction(-1, 30),
-    6: Fraction(1, 42),
-    8: Fraction(-1, 30),
-    10: Fraction(5, 66),
-    12: Fraction(-691, 2730),
-    14: Fraction(7, 6),
-    16: Fraction(-3617, 510),
-    18: Fraction(43867, 798),
-    20: Fraction(-174611, 330),
-    22: Fraction(854513, 138),
-    24: Fraction(-236364091, 2730),
-    26: Fraction(8553103, 6),
-}
-_EM_TERMS = 12  # correction terms used; B_26 bounds the remainder
-_EM_N = 32  # direct terms before corrections
+# Units of 2^-53 relative error per tail term on top of the bit length of
+# the largest block: numpy's pairwise sum rounds a term at most 24 times
+# inside one of its 128-term leaves plus once per halving above it (the
+# bit length, less 6), the term itself carries at most 16 (p^-s and
+# log1p within 2 ulp, three roundings in their argument), fsum adds 1, and
+# 5 more absorb the second-order terms.
+_TAIL_ROUNDING_UNITS = 40
 
 
 @dataclass(frozen=True)
 class ProductEstimate:
     """Truncated Euler product with a rigorous log-scale tail certificate.
 
-    value + value_lo is a double-double rendering of the partial product
-    (~106 effective mantissa bits, far below the tail bound), accumulated
-    over fixed prime blocks merged in ascending order.
+    value + value_lo renders the partial product to within rounding_bound:
+    2^-100 for the 128-bit head, plus (bit length of the largest prime
+    block + 40) * 2^-53 * |log-sum of the float64 tail|.  Blocks are fixed
+    and merged in ascending order, so the result does not depend on
+    scheduling.
     """
 
     s: float
@@ -69,11 +67,12 @@ class ProductEstimate:
     value: float
     value_lo: float
     tail_bound: float
+    rounding_bound: float
 
     def interval(self) -> tuple[float, float]:
         """Enclosure of the full (untruncated) product."""
         v = self.value + self.value_lo
-        slack = math.expm1(self.tail_bound) * v + 1e-20
+        slack = math.expm1(self.tail_bound) * v + self.rounding_bound
         return v - slack, v + slack
 
 
@@ -87,51 +86,10 @@ class CoefficientQ:
 
 
 def zeta_real(s: float) -> float:
-    """zeta(s) for real 1 < s <= 64, via Euler-Maclaurin summation.
-
-    Direct sum to N plus Bernoulli corrections; for real s the remainder is
-    bounded by the first omitted correction term, which is checked to be
-    below 1e-13 before returning.  Absolute error <= 1e-12.
-    """
+    """zeta(s) for real 1 < s <= 64, from mpmath."""
     if not 1 < s <= 64:
         raise ValueError(f"zeta_real expects 1 < s <= 64 (got {s})")
-    with mp.workprec(180):
-        ss = mpf(s)
-        n = mpf(_EM_N)
-        total = sum(mpf(k) ** (-ss) for k in range(1, _EM_N))
-        total += n ** (1 - ss) / (ss - 1) + n ** (-ss) / 2
-        rising = ss  # s(s+1)...(s+2k-2), updated incrementally
-        npow = n ** (-ss - 1)
-        for k in range(1, _EM_TERMS + 1):
-            b = _BERNOULLI[2 * k]
-            total += mpf(b.numerator) / b.denominator / mp.factorial(2 * k) * rising * npow
-            rising *= (ss + 2 * k - 1) * (ss + 2 * k)
-            npow /= n * n
-        b = _BERNOULLI[2 * _EM_TERMS + 2]
-        remainder = abs(
-            mpf(b.numerator) / b.denominator / mp.factorial(2 * _EM_TERMS + 2) * rising * npow
-        )
-        if remainder > mpf("1e-13"):
-            raise ArithmeticError(f"euler-maclaurin remainder {remainder} too large")
-        return float(total)
-
-
-def _dd_local_factors(p: np.ndarray, m4: int):
-    """Factors 1 - x^2/2 + x^3/2 with x = p^{-s} in double-double, 4s = m4."""
-    zero = np.zeros_like(p)
-    if m4 % 4 == 0:
-        uh, ul = dd.ipow(p, zero, m4 // 4)
-        xh, xl = dd.recip(uh, ul)
-    elif m4 % 2 == 0:
-        uh, ul = dd.ipow(p, zero, m4 // 2)
-        xh, xl = dd.sqrt(*dd.recip(uh, ul))
-    else:
-        uh, ul = dd.ipow(p, zero, m4)
-        xh, xl = dd.sqrt(*dd.sqrt(*dd.recip(uh, ul)))
-    x2h, x2l = dd.mul(xh, xl, xh, xl)
-    x3h, x3l = dd.mul(x2h, x2l, xh, xl)
-    th, tl = dd.sub(np.ones_like(p), zero, *dd.mul_pow2(x2h, x2l, 0.5))
-    return dd.add(th, tl, *dd.mul_pow2(x3h, x3l, 0.5))
+    return float(mp.zeta(s))
 
 
 def _tail_bound(s: float, prime_limit: int) -> float:
@@ -141,53 +99,42 @@ def _tail_bound(s: float, prime_limit: int) -> float:
 def euler_product_C(s: float, prime_limit: int) -> ProductEstimate:
     """prod_{p <= prime_limit} (1 - 1/(2p^{2s}) + 1/(2p^{3s})) with tail bound.
 
-    Accumulation runs over fixed prime blocks in ascending order; inside a
-    block a fixed pairwise tree multiplies double-double factors, so the
-    result is bit-identical regardless of scheduling.  When 4s is an
-    integer (covers every half- and quarter-integer s) the vectorized path
-    handles prime limits up to 2^31; other real s fall back to an mpmath
-    loop with a smaller prime budget.
+    One path for every real s > 1/2 and prime_limit <= 2^31: the primes
+    up to HEAD_PRIME_LIMIT are multiplied at 128 bits, and the rest enter
+    as exp of a float64 log-sum taken per fixed prime block and combined
+    by fsum in ascending block order.
     """
     if not s > 0.5:
         raise ValueError(f"euler_product_C expects s > 1/2 (got {s})")
     if prime_limit < 2:
         raise ValueError("prime_limit must be >= 2")
-    m4 = 4.0 * s
-    if m4 == round(m4):
-        if prime_limit > FAST_PATH_PRIME_CAP:
-            raise ValueError(f"prime_limit exceeds sieve budget {FAST_PATH_PRIME_CAP}")
-        m = int(round(m4))
-        m = m // 4 if m % 4 == 0 else (m // 2 if m % 2 == 0 else m)
-        if m * math.log10(prime_limit) > 306:
-            raise ValueError(
-                f"p^{m} overflows binary64 below prime_limit={prime_limit}; "
-                f"reduce prime_limit (the omitted factors differ from 1 by < 1e-300)"
-            )
-        hi, lo = 1.0, 0.0
-        for block in prime_blocks(prime_limit):
-            fh, fl = _dd_local_factors(block.astype(np.float64), int(round(m4)))
-            bh, bl = dd.product_tree(fh, fl)
-            hi, lo = dd.mul(hi, lo, bh, bl)
-        hi, lo = float(hi), float(lo)
-    else:
-        if prime_limit > SLOW_PATH_PRIME_CAP:
-            raise ValueError(
-                f"prime_limit exceeds sieve budget {SLOW_PATH_PRIME_CAP} for "
-                f"non-quarter-integer s"
-            )
-        with mp.workprec(160):
-            acc = mpf(1)
-            for p in primes_upto(prime_limit):
-                x = mpf(int(p)) ** (-mpf(s))
-                acc *= 1 - x * x / 2 + x * x * x / 2
-            hi = float(acc)
-            lo = float(acc - hi)
+    if prime_limit > FAST_PATH_PRIME_CAP:
+        raise ValueError(f"prime_limit exceeds sieve budget {FAST_PATH_PRIME_CAP}")
+    s = float(s)
+    block_sums, largest = [], 0
+    for block in prime_blocks(prime_limit):
+        p = block[np.searchsorted(block, HEAD_PRIME_LIMIT, side="right") :]
+        x = p.astype(np.float64) ** -s
+        block_sums.append(float(np.sum(np.log1p(x * x * (x - 1.0) * 0.5))))
+        largest = max(largest, p.size)
+    tail = math.fsum(block_sums)  # every term is <= 0, so |tail| = sum |t_p|
+    with mp.workprec(HEAD_PREC):
+        ss = mpf(s)
+        product = mpf(1)
+        for p in primes_upto(min(prime_limit, HEAD_PRIME_LIMIT)):
+            x = mpf(int(p)) ** -ss
+            product *= 1 - x * x / 2 + x * x * x / 2
+        product *= mp.exp(tail)
+        value = float(product)
+        value_lo = float(product - value)
     return ProductEstimate(
-        s=float(s),
+        s=s,
         prime_limit=int(prime_limit),
-        value=hi,
-        value_lo=lo,
-        tail_bound=_tail_bound(float(s), int(prime_limit)),
+        value=value,
+        value_lo=value_lo,
+        tail_bound=_tail_bound(s, int(prime_limit)),
+        rounding_bound=(largest.bit_length() + _TAIL_ROUNDING_UNITS) * 2.0**-53 * abs(tail)
+        + 2.0**-100,
     )
 
 
@@ -259,13 +206,7 @@ def theorem_constant_interval(c1: ProductEstimate) -> tuple[float, float]:
     return factor * lo, factor * hi
 
 
-def dirichlet_lhs(q: int, s: float, terms: int) -> tuple[float, float]:
-    """Partial series sum_{n<=terms} ratio(qn) / n^s and a crude tail estimate.
-
-    The tail estimate 4 (ln N + 2) / N^{s - 5/4} deliberately overshoots
-    the true remainder for s >= 1.5; it is a reporting aid, not a bound
-    used in arithmetic.
-    """
+def _check_lhs(q: int, s: float, terms: int) -> None:
     if q != 1 and not is_prime(q):
         raise ValueError(f"q must be 1 or prime (got {q})")
     if not s > 1:
@@ -274,6 +215,36 @@ def dirichlet_lhs(q: int, s: float, terms: int) -> tuple[float, float]:
         raise ValueError("terms must be >= 1")
     if q * terms > LHS_TERM_CAP:
         raise ValueError(f"q * terms exceeds budget {LHS_TERM_CAP}")
+
+
+def _check_rhs(q: int, s: float) -> None:
+    if q != 1 and not is_prime(q):
+        raise ValueError(f"q must be 1 or prime (got {q})")
+    if not 1 < s <= 32:
+        raise ValueError(f"dirichlet_rhs expects 1 < s <= 32 (got {s})")
+
+
+def check_series_grid(q_list, s_grid, terms: int, prime_limit: int) -> None:
+    """Raise ValueError unless both sides of the series check accept every (q, s).
+
+    Lets a whole verification grid fail before its first sieve.
+    """
+    if not 2 <= prime_limit <= FAST_PATH_PRIME_CAP:
+        raise ValueError(f"prime_limit must be in [2, {FAST_PATH_PRIME_CAP}] (got {prime_limit})")
+    for q in q_list:
+        for s in s_grid:
+            _check_lhs(q, s, terms)
+            _check_rhs(q, s)
+
+
+def dirichlet_lhs(q: int, s: float, terms: int) -> tuple[float, float]:
+    """Partial series sum_{n<=terms} ratio(qn) / n^s and a crude tail estimate.
+
+    The tail estimate 4 (ln N + 2) / N^{s - 5/4} deliberately overshoots
+    the true remainder for s >= 1.5; it is a reporting aid, not a bound
+    used in arithmetic.
+    """
+    _check_lhs(q, s, terms)
     scale = 2.0**-SCALE_EXP
     value = 0.0
     for lo in range(1, terms + 1, LHS_CHUNK):
@@ -293,10 +264,7 @@ def rhs_prefactor(q: int, s: float) -> float:
 
 def dirichlet_rhs(q: int, s: float, prime_limit: int = RHS_PRIME_LIMIT) -> float:
     """Factorized series value: prefactor * zeta(s) zeta(2s) * product."""
-    if q != 1 and not is_prime(q):
-        raise ValueError(f"q must be 1 or prime (got {q})")
-    if not 1 < s <= 32:
-        raise ValueError(f"dirichlet_rhs expects 1 < s <= 32 (got {s})")
+    _check_rhs(q, s)
     c = euler_product_C(s, prime_limit)
     return rhs_prefactor(q, s) * zeta_real(s) * zeta_real(2 * s) * (c.value + c.value_lo)
 

@@ -2,7 +2,9 @@
 
 The segmented iterator uses fixed block boundaries (multiples of the block
 size), which downstream code relies on for reproducible block-ordered
-reductions.
+reductions.  It sieves odd cells only (cell i of a block starting at lo is
+n = lo + 1 + 2i), so each block holds half as many flags; 2 is prepended
+to block 0.
 """
 
 from __future__ import annotations
@@ -30,27 +32,32 @@ def prime_blocks(limit: int, block: int = DEFAULT_BLOCK):
     """Yield ascending arrays of primes <= limit in fixed value blocks.
 
     Block k covers [k*block, (k+1)*block); boundaries do not depend on
-    limit, so partial runs share prefixes with longer ones.
+    limit, so partial runs share prefixes with longer ones.  The block
+    size must be even, so that every block starts on an even lo and its
+    cell i is the odd n = lo + 1 + 2i.
     """
+    if block < 2 or block % 2:
+        raise ValueError(f"block must be a positive even number (got {block})")
     if limit < 2:
         return
-    base = primes_upto(isqrt(limit))
-    lo = 0
-    while lo <= limit:
+    base = [int(p) for p in primes_upto(isqrt(limit))[1:]]  # odd primes only
+    for lo in range(0, limit + 1, block):
         hi = min(lo + block, limit + 1)
-        flags = np.ones(hi - lo, dtype=bool)
+        flags = np.ones((hi - lo) // 2, dtype=bool)
         if lo == 0:
-            flags[: min(2, hi - lo)] = False
+            flags[0] = False  # n = 1
         for p in base:
-            p = int(p)
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start >= hi:
-                continue
-            flags[start - lo :: p] = False
-        block_primes = np.nonzero(flags)[0] + lo
+            if p * p >= hi:
+                break
+            start = max(p * p, -(-lo // p) * p)
+            if start % 2 == 0:
+                start += p  # first odd multiple; a slice past the end is empty
+            flags[(start - lo - 1) // 2 :: p] = False
+        block_primes = np.nonzero(flags)[0] * 2 + (lo + 1)
+        if lo == 0:
+            block_primes = np.concatenate(([2], block_primes))
         if block_primes.size:
             yield block_primes
-        lo += block
 
 
 def is_prime(n: int) -> bool:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -161,6 +162,26 @@ def test_verify_dirichlet_failure_exit(capsys):
     assert "FAIL" in err and ">" in err
 
 
+def test_verify_dirichlet_checks_grid_before_sieving(capsys, monkeypatch):
+    def no_sieve(lo, hi):
+        raise AssertionError("sieved before the whole grid was checked")
+
+    monkeypatch.setattr(dirichlet, "sieve_segment", no_sieve)
+    for extra in (
+        ["--s-grid", "2,40"],
+        ["--s-grid", "2,1"],
+        ["--s-grid", "nan"],
+        ["--terms", "0"],
+        ["--q", "1,6"],
+        ["--q", "1,5", "--terms", "3e7"],
+        ["--prime-limit", "1"],
+    ):
+        argv = ["verify-dirichlet", "--q", "1", "--s-grid", "2", "--terms", "2e7", *extra]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "", extra
+        assert err.startswith("error:"), extra
+
+
 def test_env_overrides(tmp_path, capsys, monkeypatch):
     cp = str(tmp_path / "env.csv")
     monkeypatch.setenv("DIVSUM_LIMIT", "200")
@@ -282,3 +303,16 @@ def test_failed_identity_refused_before_sieving(tmp_path, capsys, monkeypatch):
         assert code == 1 and out == "", argv
         assert err.startswith("error:") and "x=1000" in err and "five_split_exact" in err, argv
         assert cp.read_bytes() == before, argv
+
+
+def test_report_bytes_match_recorded_digest(tmp_path, capsys):
+    root = Path(__file__).resolve().parents[1]
+    refs = json.loads((root / "perfbench" / "references.json").read_text())
+    want = refs["digests"]["report"]["csv=grid_1e6.csv,prime_limit=100000"]["report.json"]
+    out = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys, "report", "--checkpoints", str(root / "perfbench" / "data" / "grid_1e6.csv"),
+        "--prime-limit", "1e5", "--out", str(out),
+    )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want

@@ -82,13 +82,34 @@ def test_product_slow_path_for_general_s():
         assert abs(mpmath.mpf(e.value) + mpmath.mpf(e.value_lo) - acc) < 1e-15
 
 
+def test_product_tail_matches_mpmath_loop():
+    # above HEAD_PRIME_LIMIT the factors enter as a float64 log-sum; at
+    # P = 1e5 most primes are in that tail, so rounding_bound is exercised
+    assert dirichlet.HEAD_PRIME_LIMIT < 10**5
+    primes = [int(p) for p in primes_upto(10**5)]
+    with mpmath.mp.workprec(200):
+        for s in (0.75, 0.8, 1.0, 1.2345, 2.0):
+            exact = mpmath.mpf(1)
+            for p in primes:
+                x = mpmath.mpf(p) ** -mpmath.mpf(s)
+                exact *= 1 - x * x / 2 + x * x * x / 2
+            e = euler_product_C(s, 10**5)
+            got = mpmath.mpf(e.value) + mpmath.mpf(e.value_lo)
+            assert abs(got - exact) <= e.rounding_bound, s
+            assert e.rounding_bound < 1e-15, s
+            lo, hi = e.interval()
+            assert lo <= exact <= hi, s
+
+
 def test_product_rejects():
     with pytest.raises(ValueError):
         euler_product_C(0.5, 100)
     with pytest.raises(ValueError):
         euler_product_C(1.0, 1)
-    with pytest.raises(ValueError):
-        euler_product_C(0.8, dirichlet.SLOW_PATH_PRIME_CAP + 1)
+    # any real s > 1/2 takes the one path, past the old 2e6 cap for s = 0.8
+    e = euler_product_C(0.8, 2_000_001)
+    lo, hi = euler_product_C(0.8, 10**6).interval()
+    assert lo <= e.value + e.value_lo <= hi
     with pytest.raises(ValueError):
         euler_product_C(1.0, dirichlet.FAST_PATH_PRIME_CAP + 1)
 
