@@ -12,6 +12,12 @@ walks the range in 10^4-aligned blocks n = h*10^4 + r.  The high part h is
 one Python int per block: when str(h) holds a 0 or 5 the whole block is
 True, otherwise the block is a slice of a 10^4-entry table over the four
 zero-padded low digits r (or over r itself, unpadded, when h = 0).
+
+class_sums uses the same block structure to reduce values over the
+classes.  The full blocks with h >= 1 are the rows of a 10^4-column view,
+and each row's sums over A and over its complement are two dot products
+with 0/1 weights read from the padded table; the partial blocks at either
+end, and the block n < 10^4, go through has_zero_or_five.
 """
 
 from __future__ import annotations
@@ -36,12 +42,14 @@ _BLOCK = 10**4
 
 
 @cache
-def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """(padded, unpadded): does r in [0, 10^4) show a 0 or 5 among its digits.
+def _digit_tables() -> tuple[np.ndarray, ...]:
+    """(padded, unpadded, w_A, w_nonA) over r in [0, 10^4).
 
+    padded and unpadded say whether r shows a 0 or 5 among its digits:
     padded reads r as four digits with leading zeros, the low part of some
-    n >= 10^4; unpadded reads r as written, for n = r < 10^4.  Built on
-    first use, so importing the module costs nothing; both are read-only,
+    n >= 10^4; unpadded reads r as written, for n = r < 10^4.  w_A and
+    w_nonA are padded and its complement as int64 0/1 row weights.  Built
+    on first use, so importing the module costs nothing; all are read-only,
     because every caller shares them.
     """
     r = np.arange(_BLOCK)
@@ -49,8 +57,11 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     padded = np.any(hits, axis=0)
     # digit i >= 1 exists only when r >= 10^i (entry 0 is never read: n >= 1)
     unpadded = np.any([hit & (r >= 10**i) for i, hit in enumerate(hits)], axis=0)
-    padded.flags.writeable = unpadded.flags.writeable = False
-    return padded, unpadded
+    w_a = padded.astype(np.int64)
+    tables = padded, unpadded, w_a, 1 - w_a
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 class DigitClass(enum.Enum):
@@ -99,7 +110,7 @@ def has_zero_or_five(lo: int, hi: int) -> np.ndarray:
     """Bool array over n in [lo, hi): does n have a decimal digit 0 or 5."""
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi (got [{lo}, {hi}))")
-    padded, unpadded = _digit_tables()
+    padded, unpadded, _, _ = _digit_tables()
     out = np.empty(hi - lo, dtype=bool)
     a = lo
     while a < hi:
@@ -114,6 +125,37 @@ def has_zero_or_five(lo: int, hi: int) -> np.ndarray:
             cells[:] = True
         a = b
     return out
+
+
+def class_sums(lo: int, num: np.ndarray) -> tuple[int, int, int, int]:
+    """(S_A, S_B, T_nonA, count_nonA) of the values num[i] at n = lo + i.
+
+    S_A sums num over A, S_B over A less the multiples of 5, T_nonA over
+    the complement of A, and count_nonA counts that complement.  S_A and
+    T_nonA are separate reductions, so S = S_A + T_nonA stays a check on
+    the weights.  The caller keeps every partial sum of num inside int64.
+    """
+    hi = lo + num.size
+    a = -(-lo // _BLOCK) * _BLOCK  # first full row, h >= 1 as lo >= 1
+    b = hi // _BLOCK * _BLOCK
+    if a > b:  # no full row
+        a = b = hi
+    s_a = t_non = count = 0
+    for x, y in ((lo, a), (b, hi)):
+        cells = num[x - lo : y - lo]
+        in_a = has_zero_or_five(x, y)
+        s_a += int(cells[in_a].sum())
+        t_non += int(cells[~in_a].sum())
+        count += cells.size - int(np.count_nonzero(in_a))
+    rows = num[a - lo : b - lo].reshape(-1, _BLOCK)
+    highs = range(a // _BLOCK, b // _BLOCK)
+    clean = np.array([NON_A_DIGITS.issuperset(str(h)) for h in highs], dtype=bool)
+    _, _, w_a, w_non = _digit_tables()
+    s_a += int(np.where(clean, rows @ w_a, rows.sum(axis=1)).sum())
+    t_non += int((rows @ w_non)[clean].sum())
+    count += 8**4 * int(clean.sum())  # a clean row's non-A cells: 4 digits from 8
+    multiples_of_5 = int(num[(-lo) % 5 :: 5].sum())
+    return s_a, s_a - multiples_of_5, t_non, count
 
 
 def _smallest_with_suffix(counts: list[int], last: int) -> str | None:

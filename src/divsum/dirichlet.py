@@ -20,6 +20,7 @@ explicitly (ProductEstimate.rounding_bound).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -231,29 +232,37 @@ def check_series_grid(q_list, s_grid, terms: int, prime_limit: int) -> None:
     """
     if not 2 <= prime_limit <= FAST_PATH_PRIME_CAP:
         raise ValueError(f"prime_limit must be in [2, {FAST_PATH_PRIME_CAP}] (got {prime_limit})")
-    for q in q_list:
-        for s in s_grid:
-            _check_lhs(q, s, terms)
-            _check_rhs(q, s)
+    for q, s in itertools.product(q_list, s_grid):
+        _check_lhs(q, s, terms)
+        _check_rhs(q, s)
 
 
-def dirichlet_lhs(q: int, s: float, terms: int) -> tuple[float, float]:
-    """Partial series sum_{n<=terms} ratio(qn) / n^s and a crude tail estimate.
+def dirichlet_lhs(q_list, s_grid, terms: int) -> dict[tuple[int, float], tuple[float, float]]:
+    """Partial series sum_{n<=terms} ratio(qn) / n^s and a crude tail estimate, by (q, s).
 
-    The tail estimate 4 (ln N + 2) / N^{s - 5/4} deliberately overshoots
-    the true remainder for s >= 1.5; it is a reporting aid, not a bound
-    used in arithmetic.
+    One sieve per chunk of n serves the whole grid, and every value sums
+    its chunks in ascending order, so no value depends on the rest of the
+    grid.  The tail estimate 4 (ln N + 2) / N^{s - 5/4} deliberately
+    overshoots the true remainder for s >= 1.5; it is a reporting aid, not
+    a bound used in arithmetic.
     """
-    _check_lhs(q, s, terms)
+    value = dict.fromkeys(itertools.product(q_list, s_grid), 0.0)
+    for q, s in value:
+        _check_lhs(q, s, terms)
     scale = 2.0**-SCALE_EXP
-    value = 0.0
     for lo in range(1, terms + 1, LHS_CHUNK):
         hi = min(lo + LHS_CHUNK, terms + 1)
-        nums = twisted_ratio_numerators(q, lo, sieve_segment(lo, hi))
+        num = sieve_segment(lo, hi)
         n = np.arange(lo, hi, dtype=np.float64)
-        value += float(np.sum(nums.astype(np.float64) * scale * n ** (-s)))
-    tail = 4.0 * (math.log(terms) + 2.0) / terms ** (s - 1.0 - 0.25)
-    return value, tail
+        powers = {s: n ** (-s) for s in s_grid}
+        for q in dict.fromkeys(q_list):
+            scaled = twisted_ratio_numerators(q, lo, num).astype(np.float64) * scale
+            for s, power in powers.items():
+                value[q, s] += float(np.sum(scaled * power))
+    return {
+        (q, s): (v, 4.0 * (math.log(terms) + 2.0) / terms ** (s - 1.0 - 0.25))
+        for (q, s), v in value.items()
+    }
 
 
 def rhs_prefactor(q: int, s: float) -> float:
@@ -262,11 +271,21 @@ def rhs_prefactor(q: int, s: float) -> float:
     return (2.0 * qs * qs - qs) / (2.0 * qs * qs - 2.0 * qs + 1.0)
 
 
-def dirichlet_rhs(q: int, s: float, prime_limit: int = RHS_PRIME_LIMIT) -> float:
-    """Factorized series value: prefactor * zeta(s) zeta(2s) * product."""
-    _check_rhs(q, s)
-    c = euler_product_C(s, prime_limit)
-    return rhs_prefactor(q, s) * zeta_real(s) * zeta_real(2 * s) * (c.value + c.value_lo)
+def dirichlet_rhs(
+    q_list, s_grid, prime_limit: int = RHS_PRIME_LIMIT
+) -> dict[tuple[int, float], float]:
+    """Factorized series value prefactor * zeta(s) zeta(2s) * product, by (q, s).
+
+    The product and the zeta values are computed once per s.
+    """
+    for q, s in itertools.product(q_list, s_grid):
+        _check_rhs(q, s)
+    out = {}
+    for s in dict.fromkeys(s_grid):
+        c = euler_product_C(s, prime_limit)
+        zeta_s, zeta_2s, value = zeta_real(s), zeta_real(2 * s), c.value + c.value_lo
+        out.update({(q, s): rhs_prefactor(q, s) * zeta_s * zeta_2s * value for q in q_list})
+    return out
 
 
 def constants_summary(prime_limit: int = DEFAULT_PRIME_LIMIT, q_list=(1, 2, 3, 5, 7)) -> dict:

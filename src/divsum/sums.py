@@ -6,14 +6,14 @@ complement count and, for each q, the twisted series sum_{n<=m} ratio(q n).
 The twisted terms come from the same sieve table: with a = v_q(n),
 ratio(q n) = ratio(n) when a = 0 and ratio(n) * (a+2)/(a+1) otherwise, so
 no value above the limit is sieved.  Per segment each q adds to S its gain,
-one strided sum per power of q (multiplicative.twisted_ratio_gain), and the
-digit classes come from digitset.has_zero_or_five, a 10^4-entry table read
-block by block, plus a stride of 5; no stage loops per cell, digit or
-valuation.  The twisted series is kept at two stop conventions per
-checkpoint x: m = x//q (used by the five-multiple split identity) and m = x
-(used by the linear-main-term checks); both are segment boundaries of the
-pass.  Because every reduction is integer addition, results are
-bit-identical for any segmentation or worker count.
+one strided sum per power of q (multiplicative.twisted_ratio_gain), and
+digitset.class_sums reduces the segment over the digit classes, one
+matrix-vector product over its 10^4-aligned rows plus a stride of 5; no
+stage loops per cell, digit or valuation.  The twisted series is kept at
+two stop conventions per checkpoint x: m = x//q (used by the five-multiple
+split identity) and m = x (used by the linear-main-term checks); both are
+segment boundaries of the pass.  Because every reduction is integer
+addition, results are bit-identical for any segmentation or worker count.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import digitset
 from .multiplicative import (
@@ -135,16 +133,7 @@ def _segment_class_sums(args) -> tuple[int, ...]:
     num = sieve_segment(lo, hi)
     s_all = int(num.sum())
     twisted = tuple(s_all + twisted_ratio_gain(q, lo, num) for q in q_list)
-    has05 = digitset.has_zero_or_five(lo, hi)
-    mult5 = np.zeros(hi - lo, dtype=bool)
-    mult5[(-lo) % 5 :: 5] = True
-    in_a = mult5 | has05
-    non_a = ~in_a
-    s_a = int(num[in_a].sum())
-    s_b = int(num[has05 & ~mult5].sum())
-    t_non = int(num[non_a].sum())
-    cnt = int(np.count_nonzero(non_a))
-    return (s_all, s_a, s_b, t_non, cnt, *twisted)
+    return (s_all, *digitset.class_sums(lo, num), *twisted)
 
 
 def _twisted_range(q: int, lo: int, hi: int, segment_size: int, map_fn=map) -> int:

@@ -204,9 +204,10 @@ def test_criterion_7_theorem_level_asymptotics(engine_run_1e7, flagship_product)
 
 def test_criterion_8_dirichlet_identity():
     failures = []
+    series = dirichlet.dirichlet_lhs((1, 3, 5), (2.0,), 10**6)
+    factorized = dirichlet.dirichlet_rhs((1, 3, 5), (2.0,))
     for q in (1, 3, 5):
-        lhs, _ = dirichlet.dirichlet_lhs(q, 2.0, 10**6)
-        rhs = dirichlet.dirichlet_rhs(q, 2.0)
+        (lhs, _), rhs = series[q, 2.0], factorized[q, 2.0]
         if abs(lhs - rhs) > 1e-4:
             failures.append(f"q={q}: |series - factorized| = {abs(lhs - rhs):.2e} > 1e-4")
     from divsum.primes import primes_upto

@@ -145,6 +145,10 @@ def test_verify_dirichlet_small(capsys):
     assert code == 0
     doc = json.loads(out)
     assert all(r["within_tolerance"] for r in doc["rows"])
+    assert [r["factorized_prime_limit"] for r in doc["rows"]] == [100000, 100000]
+    code, out, _ = run_cli(capsys, "verify-dirichlet", "--q", "1", "--s-grid", "3", "--terms", "1e3")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["factorized_prime_limit"] == 10**6  # 1e8 default, capped
 
 
 def test_verify_dirichlet_failure_exit(capsys):
@@ -316,3 +320,14 @@ def test_report_bytes_match_recorded_digest(tmp_path, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+@pytest.mark.parametrize("extra", [(), ("--segment-size", "12345", "--threads", "2")])
+def test_sum_1e6_matches_recorded_grid_csv(tmp_path, capsys, extra):
+    # rows n >= 10^4 exercise the full-row class sums; the brute-force
+    # engine tests stop below that
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "grid.csv"
+    code, _, _ = run_cli(capsys, "sum", "--limit", "1e6", "--checkpoints", str(out), *extra)
+    assert code == 0
+    assert out.read_bytes() == (root / "perfbench" / "data" / "grid_1e6.csv").read_bytes()

@@ -1,13 +1,15 @@
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divsum.digitset import (
     DigitClass,
     DigitMultiset,
+    class_sums,
     classify,
     count_non_a,
     has_zero_or_five,
@@ -177,3 +179,47 @@ def test_has_zero_or_five_across_block_and_decade_edges():
     for lo, hi in ((0, 5), (5, 4)):
         with pytest.raises(ValueError):
             has_zero_or_five(lo, hi)
+    with pytest.raises(ValueError):
+        class_sums(0, np.ones(5, dtype=np.int64))
+
+
+def _class_sums_by_cell(lo, values):
+    s_a = s_b = t_non = count = 0
+    for n, v in enumerate(values, start=lo):
+        cls = classify(n)
+        if cls is DigitClass.NON_A:
+            t_non += v
+            count += 1
+        else:
+            s_a += v
+            s_b += v if cls is DigitClass.B_MEMBER else 0
+    return s_a, s_b, t_non, count
+
+
+@st.composite
+def _class_sum_windows(draw):
+    # half the windows are random; the rest start and end on or near a
+    # 10^4-block edge, spanning 0-5 full rows, sometimes from the first
+    # block n < 10^4 and sometimes inside a single block
+    if draw(st.booleans()):
+        lo = draw(st.integers(1, 1 << 40))
+        return lo, lo + draw(st.integers(0, 50_000))
+    first = draw(st.just(0) | st.integers(1, (1 << 40) // 10**4 - 6))
+    last = first + draw(st.integers(0, 5))
+    offset = st.sampled_from((0, 1, 2, 9_998, 9_999)) | st.integers(0, 9_999)
+    lo, hi = sorted((first * 10**4 + draw(offset), last * 10**4 + draw(offset)))
+    return max(lo, 1), max(hi, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_class_sum_windows(), st.integers(0, 2**32 - 1))
+@example((1, 10**4), 0)
+@example((1, 3 * 10**4), 1)
+@example((10**4, 3 * 10**4), 2)
+@example((10**4 * 1111 - 3, 10**4 * 1111 + 3), 3)
+@example((2 * 10**8 + 1, 2 * 10**8 + 9), 4)
+@example((7, 7), 5)
+def test_class_sums_match_classify_per_cell(window, seed):
+    lo, hi = window
+    num = np.random.default_rng(seed).integers(-(1 << 40), 1 << 40, size=hi - lo)
+    assert class_sums(lo, num) == _class_sums_by_cell(lo, num.tolist())

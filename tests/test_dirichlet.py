@@ -209,7 +209,7 @@ def test_rational_identity():
 
 
 def test_series_collapses_at_large_s():
-    value, _ = dirichlet_lhs(1, 40.0, 10**4)
+    value, _ = dirichlet_lhs((1,), (40.0,), 10**4)[1, 40.0]
     assert abs(value - 1.0) <= 1e-10
 
 
@@ -220,30 +220,50 @@ def test_prefactor_values():
 
 
 def test_series_vs_factorization_small_grid(product_1e6):
+    series = dirichlet_lhs((1, 5), (2.0,), 10**5)
+    factorized = dirichlet_rhs((1, 5), (2.0,))
     for q in (1, 5):
-        lhs, tail = dirichlet_lhs(q, 2.0, 10**5)
-        rhs = dirichlet_rhs(q, 2.0)
-        assert abs(lhs - rhs) <= 1e-3
+        lhs, tail = series[q, 2.0]
+        assert abs(lhs - factorized[q, 2.0]) <= 1e-3
         assert tail > 0
 
 
 def test_series_vs_factorization_full_grid():
     # combined allowance: the series' stated tail estimate plus a small
     # slack for the factorized side's own truncations
-    for q in (1, 2, 3, 5, 7):
-        for s in (1.5, 2.0, 3.0):
-            lhs, tail = dirichlet_lhs(q, s, 10**6)
-            rhs = dirichlet_rhs(q, s)
-            assert abs(lhs - rhs) <= tail + 1e-6, (q, s)
+    series = dirichlet_lhs((1, 2, 3, 5, 7), (1.5, 2.0, 3.0), 10**6)
+    factorized = dirichlet_rhs((1, 2, 3, 5, 7), (1.5, 2.0, 3.0))
+    assert series.keys() == factorized.keys() and len(series) == 15
+    for (q, s), (lhs, tail) in series.items():
+        assert abs(lhs - factorized[q, s]) <= tail + 1e-6, (q, s)
+
+
+def test_series_grid_sieves_once_per_chunk_and_matches_points(monkeypatch):
+    sieved, products = [], []
+    sieve, product = dirichlet.sieve_segment, dirichlet.euler_product_C
+    monkeypatch.setattr(dirichlet, "LHS_CHUNK", 1000)
+    monkeypatch.setattr(dirichlet, "sieve_segment", lambda lo, hi: sieved.append(lo) or sieve(lo, hi))
+    monkeypatch.setattr(
+        dirichlet, "euler_product_C", lambda s, p: products.append(s) or product(s, p)
+    )
+    qs, ss = (1, 2, 5, 2), (1.5, 3.0, 2.0)
+    series = dirichlet_lhs(qs, ss, 2500)
+    factorized = dirichlet_rhs(qs, ss, 1000)
+    assert sieved == [1, 1001, 2001] and products == [1.5, 3.0, 2.0]
+    assert len(series) == len(factorized) == 9
+    for q in qs:
+        for s in ss:
+            assert series[q, s] == dirichlet_lhs((q,), (s,), 2500)[q, s]
+            assert factorized[q, s] == dirichlet_rhs((q,), (s,), 1000)[q, s]
 
 
 def test_lhs_rejects():
     with pytest.raises(ValueError):
-        dirichlet_lhs(6, 2.0, 100)
+        dirichlet_lhs((1, 6), (2.0,), 100)
     with pytest.raises(ValueError):
-        dirichlet_lhs(1, 1.0, 100)
+        dirichlet_lhs((1,), (2.0, 1.0), 100)
     with pytest.raises(ValueError):
-        dirichlet_lhs(1, 2.0, 0)
+        dirichlet_lhs((1,), (2.0,), 0)
 
 
 def test_constants_summary_keys():
