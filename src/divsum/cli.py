@@ -35,6 +35,8 @@ DEFAULTS = {
     "seed": 0,
 }
 
+LOCAL_P_MAX_CAP = 10**7  # verify-local sieves p_max + 1 bytes
+
 
 def _env(name: str, fallback):
     return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"), fallback)
@@ -55,8 +57,10 @@ def parse_count(text) -> int:
 
 
 def _parse_q_list(text: str) -> tuple[int, ...]:
+    """Comma-separated q values, repeats dropped in order of first appearance."""
     try:
-        return tuple(parse_count(part) for part in str(text).split(",") if part.strip())
+        values = (parse_count(part) for part in str(text).split(",") if part.strip())
+        return tuple(dict.fromkeys(values))
     except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"bad q list: {text!r}")
 
@@ -68,7 +72,8 @@ def _parse_format(text: str) -> str:
 
 
 def _parse_s_grid(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in str(text).split(",") if part.strip())
+    """Comma-separated s values, repeats dropped in order of first appearance."""
+    return tuple(dict.fromkeys(float(part) for part in str(text).split(",") if part.strip()))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,6 +334,8 @@ def _cmd_verify_dirichlet(args) -> int:
 
 
 def _cmd_verify_local(args) -> int:
+    if args.p_max > LOCAL_P_MAX_CAP:
+        raise ValueError(f"--p-max must be at most {LOCAL_P_MAX_CAP} (got {args.p_max})")
     grid = [(int(p), s) for p in primes_upto(args.p_max) for s in args.s_grid]
     if args.samples:
         rng = random.Random(args.seed)

@@ -7,17 +7,13 @@ by 5 exactly when its last digit is 0 or 5, membership in A reduces to
 "contains a digit 0 or 5"; the equivalence is argued in the README and
 property-tested against explicit permutation witnesses.
 
-has_zero_or_five answers that question for a whole range at once.  It
-walks the range in 10^4-aligned blocks n = h*10^4 + r.  The high part h is
-one Python int per block: when str(h) holds a 0 or 5 the whole block is
-True, otherwise the block is a slice of a 10^4-entry table over the four
-zero-padded low digits r (or over r itself, unpadded, when h = 0).
-
-class_sums uses the same block structure to reduce values over the
-classes.  The full blocks with h >= 1 are the rows of a 10^4-column view,
-and each row's sums over A and over its complement are two dot products
-with 0/1 weights read from the padded table; the partial blocks at either
-end, and the block n < 10^4, go through has_zero_or_five.
+class_sums reduces values over the classes in one loop over the
+10^4-aligned blocks n = h*10^4 + r that a range touches, full or partial.
+The high part h is one Python int per block: when str(h) holds a 0 or 5
+the whole block lies in A; otherwise each cell's class is read from a
+10^4-entry table over the four zero-padded low digits r (or over r
+itself, unpadded, when h = 0), and the block's sums over A and over its
+complement are two dot products with that table's 0/1 weights.
 """
 
 from __future__ import annotations
@@ -42,26 +38,30 @@ _BLOCK = 10**4
 
 
 @cache
-def _digit_tables() -> tuple[np.ndarray, ...]:
-    """(padded, unpadded, w_A, w_nonA) over r in [0, 10^4).
+def _digit_tables() -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """(w_A, w_nonA, nonA_prefix) for padded and for unpadded r in [0, 10^4).
 
-    padded and unpadded say whether r shows a 0 or 5 among its digits:
-    padded reads r as four digits with leading zeros, the low part of some
-    n >= 10^4; unpadded reads r as written, for n = r < 10^4.  w_A and
-    w_nonA are padded and its complement as int64 0/1 row weights.  Built
-    on first use, so importing the module costs nothing; all are read-only,
-    because every caller shares them.
+    Padded reads r as four digits with leading zeros, the low part of some
+    n >= 10^4; unpadded reads r as written, for n = r < 10^4.  w_A is 1
+    where r shows a 0 or 5 among those digits, w_nonA is its complement,
+    and nonA_prefix[i] counts the non-A entries below i.  Built on first
+    use, so importing the module costs nothing; all are read-only, because
+    every caller shares them.
     """
     r = np.arange(_BLOCK)
     hits = [r // 10**i % 10 % 5 == 0 for i in range(4)]  # digit i of r is 0 or 5
     padded = np.any(hits, axis=0)
     # digit i >= 1 exists only when r >= 10^i (entry 0 is never read: n >= 1)
     unpadded = np.any([hit & (r >= 10**i) for i, hit in enumerate(hits)], axis=0)
-    w_a = padded.astype(np.int64)
-    tables = padded, unpadded, w_a, 1 - w_a
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    tables = []
+    for in_a in (padded, unpadded):
+        w_a = in_a.astype(np.int64)
+        w_non = 1 - w_a
+        prefix = np.concatenate(([0], np.cumsum(w_non)))
+        for table in (w_a, w_non, prefix):
+            table.flags.writeable = False
+        tables.append((w_a, w_non, prefix))
+    return tuple(tables)
 
 
 class DigitClass(enum.Enum):
@@ -106,27 +106,6 @@ def classify(n: int) -> DigitClass:
     return DigitClass.NON_A
 
 
-def has_zero_or_five(lo: int, hi: int) -> np.ndarray:
-    """Bool array over n in [lo, hi): does n have a decimal digit 0 or 5."""
-    if not 1 <= lo <= hi:
-        raise ValueError(f"need 1 <= lo <= hi (got [{lo}, {hi}))")
-    padded, unpadded, _, _ = _digit_tables()
-    out = np.empty(hi - lo, dtype=bool)
-    a = lo
-    while a < hi:
-        h, r = divmod(a, _BLOCK)
-        b = min(hi, (h + 1) * _BLOCK)
-        cells = out[a - lo : b - lo]
-        if h == 0:
-            cells[:] = unpadded[r : r + b - a]
-        elif NON_A_DIGITS.issuperset(str(h)):
-            cells[:] = padded[r : r + b - a]
-        else:
-            cells[:] = True
-        a = b
-    return out
-
-
 def class_sums(lo: int, num: np.ndarray) -> tuple[int, int, int, int]:
     """(S_A, S_B, T_nonA, count_nonA) of the values num[i] at n = lo + i.
 
@@ -135,25 +114,24 @@ def class_sums(lo: int, num: np.ndarray) -> tuple[int, int, int, int]:
     T_nonA are separate reductions, so S = S_A + T_nonA stays a check on
     the weights.  The caller keeps every partial sum of num inside int64.
     """
-    hi = lo + num.size
-    a = -(-lo // _BLOCK) * _BLOCK  # first full row, h >= 1 as lo >= 1
-    b = hi // _BLOCK * _BLOCK
-    if a > b:  # no full row
-        a = b = hi
+    if lo < 1:
+        raise ValueError(f"class_sums is defined for lo >= 1 (got {lo})")
+    padded, unpadded = _digit_tables()
     s_a = t_non = count = 0
-    for x, y in ((lo, a), (b, hi)):
-        cells = num[x - lo : y - lo]
-        in_a = has_zero_or_five(x, y)
-        s_a += int(cells[in_a].sum())
-        t_non += int(cells[~in_a].sum())
-        count += cells.size - int(np.count_nonzero(in_a))
-    rows = num[a - lo : b - lo].reshape(-1, _BLOCK)
-    highs = range(a // _BLOCK, b // _BLOCK)
-    clean = np.array([NON_A_DIGITS.issuperset(str(h)) for h in highs], dtype=bool)
-    _, _, w_a, w_non = _digit_tables()
-    s_a += int(np.where(clean, rows @ w_a, rows.sum(axis=1)).sum())
-    t_non += int((rows @ w_non)[clean].sum())
-    count += 8**4 * int(clean.sum())  # a clean row's non-A cells: 4 digits from 8
+    a, hi = lo, lo + num.size
+    while a < hi:
+        h, r = divmod(a, _BLOCK)
+        b = min(hi, a - r + _BLOCK)
+        cells = num[a - lo : b - lo]
+        if h and not NON_A_DIGITS.issuperset(str(h)):
+            s_a += int(cells.sum())
+        else:
+            w_a, w_non, prefix = unpadded if h == 0 else padded
+            end = r + b - a
+            s_a += int(cells @ w_a[r:end])
+            t_non += int(cells @ w_non[r:end])
+            count += int(prefix[end] - prefix[r])
+        a = b
     multiples_of_5 = int(num[(-lo) % 5 :: 5].sum())
     return s_a, s_a - multiples_of_5, t_non, count
 

@@ -290,6 +290,8 @@ def dirichlet_rhs(
 
 def constants_summary(prime_limit: int = DEFAULT_PRIME_LIMIT, q_list=(1, 2, 3, 5, 7)) -> dict:
     """All reported constants at s=1 from one product evaluation."""
+    for q in q_list:  # a bad q fails before the product is computed
+        lemma_coefficient(q)
     c1 = euler_product_C(1.0, prime_limit)
     lemma_lo, lemma_hi = main_term_slope_interval(1, c1)
     thm_lo, thm_hi = theorem_constant_interval(c1)

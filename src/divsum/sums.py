@@ -7,9 +7,9 @@ The twisted terms come from the same sieve table: with a = v_q(n),
 ratio(q n) = ratio(n) when a = 0 and ratio(n) * (a+2)/(a+1) otherwise, so
 no value above the limit is sieved.  Per segment each q adds to S its gain,
 one strided sum per power of q (multiplicative.twisted_ratio_gain), and
-digitset.class_sums reduces the segment over the digit classes, one
-matrix-vector product over its 10^4-aligned rows plus a stride of 5; no
-stage loops per cell, digit or valuation.  The twisted series is kept at
+digitset.class_sums reduces the segment over the digit classes, two
+dot products per 10^4-aligned block plus a stride of 5; no stage loops
+per cell, digit or valuation.  The twisted series is kept at
 two stop conventions per checkpoint x: m = x//q (used by the five-multiple
 split identity) and m = x (used by the linear-main-term checks); both are
 segment boundaries of the pass.  Because every reduction is integer

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from divsum import dirichlet
+from divsum import cli, dirichlet
 from divsum.cli import main, parse_count
 
 
@@ -121,6 +121,16 @@ def test_verify_local(capsys):
     assert all(line.endswith("True") for line in lines[1:])
 
 
+def test_verify_local_refuses_oversize_p_max_before_sieving(capsys, monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("sieved an oversize --p-max")
+
+    monkeypatch.setattr(cli, "primes_upto", no_sieve)
+    code, out, err = run_cli(capsys, "verify-local", "--p-max", "1e12")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--p-max" in err
+
+
 def test_verify_local_with_samples_seeded(capsys):
     code1, out1, _ = run_cli(
         capsys, "verify-local", "--p-max", "10", "--samples", "20", "--seed", "123"
@@ -149,6 +159,15 @@ def test_verify_dirichlet_small(capsys):
     code, out, _ = run_cli(capsys, "verify-dirichlet", "--q", "1", "--s-grid", "3", "--terms", "1e3")
     assert code == 0
     assert json.loads(out)["rows"][0]["factorized_prime_limit"] == 10**6  # 1e8 default, capped
+
+
+def test_verify_dirichlet_drops_repeated_grid_values(capsys):
+    base = ["verify-dirichlet", "--terms", "1e3", "--prime-limit", "1e3", "--format", "csv"]
+    _, repeated, _ = run_cli(capsys, *base, "--q", "1,2,3,5,7,5", "--s-grid", "1.5,2,3,2")
+    _, distinct, _ = run_cli(capsys, *base, "--q", "1,2,3,5,7", "--s-grid", "1.5,2,3")
+    assert repeated == distinct
+    rows = [line.split(",")[:2] for line in repeated.splitlines()[1:]]
+    assert rows == [[q, s] for q in "12357" for s in ("1.5", "2.0", "3.0")]
 
 
 def test_verify_dirichlet_failure_exit(capsys):
@@ -267,6 +286,18 @@ def test_fit_twisted_missing_q_is_error(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "fit", "--checkpoints", cp, "--quantity", "twisted:11")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "no twisted series for q=11" in err
+
+
+def test_bad_q_refused_before_euler_product(tmp_path, capsys, monkeypatch):
+    def no_product(*args, **kwargs):
+        raise AssertionError("euler_product_C called before every q was checked")
+
+    monkeypatch.setattr(dirichlet, "euler_product_C", no_product)
+    missing = str(tmp_path / "none.csv")
+    for argv in (["constant"], ["report", "--checkpoints", missing]):
+        code, out, err = run_cli(capsys, *argv, "--q", "1,4")
+        assert code == 1 and out == "", argv
+        assert err.startswith("error:") and "q must be 1 or prime (got 4)" in err, argv
 
 
 def test_python_dash_m_runs_from_source_tree():

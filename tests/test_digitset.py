@@ -12,7 +12,6 @@ from divsum.digitset import (
     class_sums,
     classify,
     count_non_a,
-    has_zero_or_five,
     non_a_bound,
     permutation_witness,
 )
@@ -152,37 +151,6 @@ def test_count_rejects_negative():
         non_a_bound(0.5)
 
 
-def _in_a(lo, hi):
-    return [classify(n) is not DigitClass.NON_A for n in range(lo, hi)]
-
-
-@st.composite
-def _digit_windows(draw):
-    lo = draw(st.integers(1, 1 << draw(st.integers(1, 40))))
-    return lo, lo + draw(st.integers(0, 30000))
-
-
-@settings(max_examples=40, deadline=None)
-@given(_digit_windows())
-def test_has_zero_or_five_matches_classify_on_random_windows(window):
-    # a multiple of 5 ends in 0 or 5, so the digit test is exactly membership in A
-    lo, hi = window
-    assert has_zero_or_five(lo, hi).tolist() == _in_a(lo, hi)
-
-
-def test_has_zero_or_five_across_block_and_decade_edges():
-    windows = [(1, 2), (1, 10**4 + 50), (9, 12), (94, 106), (4990, 5010), (9990, 10011)]
-    windows += [(e - 12_345, e + 12_345) for e in (10**4 * 11, 10**8, 10**9)]
-    windows += [(10**4 * 1111 - 3, 10**4 * 1111 + 3), (10**9, 10**9)]
-    for lo, hi in windows:
-        assert has_zero_or_five(lo, hi).tolist() == _in_a(lo, hi), (lo, hi)
-    for lo, hi in ((0, 5), (5, 4)):
-        with pytest.raises(ValueError):
-            has_zero_or_five(lo, hi)
-    with pytest.raises(ValueError):
-        class_sums(0, np.ones(5, dtype=np.int64))
-
-
 def _class_sums_by_cell(lo, values):
     s_a = s_b = t_non = count = 0
     for n, v in enumerate(values, start=lo):
@@ -219,7 +187,56 @@ def _class_sum_windows(draw):
 @example((10**4 * 1111 - 3, 10**4 * 1111 + 3), 3)
 @example((2 * 10**8 + 1, 2 * 10**8 + 9), 4)
 @example((7, 7), 5)
+@example((1, 2), 6)
+@example((1, 10**4 + 50), 7)
+@example((9, 12), 8)
+@example((94, 106), 9)
+@example((4990, 5010), 10)
+@example((9990, 10011), 11)
+@example((10**4 * 11 - 12_345, 10**4 * 11 + 12_345), 12)
+@example((10**8 - 12_345, 10**8 + 12_345), 13)
+@example((10**9 - 12_345, 10**9 + 12_345), 14)
+@example((10**9, 10**9), 15)
 def test_class_sums_match_classify_per_cell(window, seed):
     lo, hi = window
     num = np.random.default_rng(seed).integers(-(1 << 40), 1 << 40, size=hi - lo)
     assert class_sums(lo, num) == _class_sums_by_cell(lo, num.tolist())
+
+
+@st.composite
+def _short_windows(draw):
+    # at most 62 cells, so 2^i for the i-th cell stays inside int64; half
+    # the windows straddle a 10^4-block edge
+    if draw(st.booleans()):
+        lo = draw(st.integers(1, 1 << 40))
+    else:
+        lo = draw(st.integers(1, (1 << 40) // 10**4)) * 10**4 - draw(st.integers(0, 62))
+    return lo, lo + draw(st.integers(0, 62))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_short_windows())
+@example((1, 63))
+@example((9990, 10011))
+@example((10**4 * 1111 - 31, 10**4 * 1111 + 31))
+@example((10**9 - 31, 10**9 + 31))
+def test_class_sums_are_exact_membership_bitmasks(window):
+    # with num[i] = 2^i, each sum is the bitmask of the cells it took, so a
+    # cell counted in the wrong class cannot cancel against another
+    lo, hi = window
+    num = np.left_shift(1, np.arange(hi - lo, dtype=np.int64))
+    classes = [classify(n) for n in range(lo, hi)]
+
+    def bitmask(*wanted):
+        return sum(1 << i for i, cls in enumerate(classes) if cls in wanted)
+
+    non_a, b_member, five = DigitClass.NON_A, DigitClass.B_MEMBER, DigitClass.MULTIPLE_OF_FIVE
+    assert class_sums(lo, num) == (
+        bitmask(b_member, five), bitmask(b_member), bitmask(non_a), classes.count(non_a)
+    )
+
+
+def test_class_sums_rejects_lo_below_1():
+    for lo in (0, -3):
+        with pytest.raises(ValueError):
+            class_sums(lo, np.ones(5, dtype=np.int64))
