@@ -36,6 +36,7 @@ DEFAULTS = {
 }
 
 LOCAL_P_MAX_CAP = 10**7  # verify-local sieves p_max + 1 bytes
+LOCAL_SAMPLES_CAP = 10**6  # verify-local holds one (p, s) row per sample
 
 
 def _env(name: str, fallback):
@@ -336,6 +337,8 @@ def _cmd_verify_dirichlet(args) -> int:
 def _cmd_verify_local(args) -> int:
     if args.p_max > LOCAL_P_MAX_CAP:
         raise ValueError(f"--p-max must be at most {LOCAL_P_MAX_CAP} (got {args.p_max})")
+    if args.samples > LOCAL_SAMPLES_CAP:
+        raise ValueError(f"--samples must be at most {LOCAL_SAMPLES_CAP} (got {args.samples})")
     grid = [(int(p), s) for p in primes_upto(args.p_max) for s in args.s_grid]
     if args.samples:
         rng = random.Random(args.seed)

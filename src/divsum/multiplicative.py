@@ -4,9 +4,9 @@ The ratio is multiplicative with value (k+1)/2 at a prime power p^k, so any
 value for n < 2^64 is a dyadic rational with denominator at most 2^15.  All
 sums of ratios are therefore accumulated exactly as integers at a fixed
 power-of-two scale (SCALE_EXP), which keeps parallel reductions
-order-independent and bit-for-bit reproducible.  The segmented sieve yields
-those scaled numerators directly; d(n) and omega(n) themselves are computed
-only per n, by factorize and by the brute-force oracle.
+order-independent and bit-for-bit reproducible.  The segmented sieve (wheel
+tile, dense strides, sparse vector steps) yields those scaled numerators; d(n)
+and omega(n) themselves are computed only per n, by factorize and the oracle.
 
 The twisted series sum ratio(q n) over a segment needs no per-cell pass.
 Let L_k be the sum of the numerators of the cells with q^k | n, one strided
@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, count
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -32,6 +33,9 @@ SCALE_EXP = 32
 MAX_FACTORIZE = 1 << 63
 MAX_SIEVE_VALUE = 1 << 40
 MAX_SEGMENT_CELLS = 1 << 26  # memory budget for one dense segment
+WHEEL = {2: 5, 3: 3, 5: 2}  # sieve_segment copies the levels p^2..p^e from one tile
+WHEEL_PERIOD = prod(p**e for p, e in WHEEL.items())  # 21600 cells, 169 KiB
+SPARSE_PRIME_FLOOR = isqrt(isqrt(MAX_SIEVE_VALUE))  # 2^10: p1^2 p2^2 > 2^40 above it
 BRUTE_FORCE_LIMIT = 10**7
 
 # ordered (prime, exponent) pairs; primes strictly increasing, exponents >= 1
@@ -121,10 +125,6 @@ def unitary_divisor_count(factors: Factorization) -> int:
     return 1 << len(factors)
 
 
-def omega(factors: Factorization) -> int:
-    return len(factors)
-
-
 def divisor_ratio(n: int) -> DyadicValue:
     """Exact d(n) / 2^omega(n), the multiplicative ratio of divisor counts."""
     factors = factorize(n)
@@ -160,14 +160,36 @@ def divisor_ratio_brute(n: int) -> DyadicValue:
     return DyadicValue(num)
 
 
+def _stride_levels(num: np.ndarray, lo: int, top: int, p: int, e: int) -> None:
+    """Apply the levels p^e, p^(e+1), ... <= top to the cells n = lo + i of num."""
+    pj = p**e
+    while pj <= top:
+        cells = num[(-lo) % pj :: pj]
+        cells //= e
+        cells *= e + 1
+        pj *= p
+        e += 1
+
+
+@cache
+def _wheel_tile() -> np.ndarray:
+    """Read-only numerators of the WHEEL levels alone; cell i stands for n = i."""
+    tile = np.full(WHEEL_PERIOD, 1 << SCALE_EXP, dtype=np.int64)
+    for p, e in WHEEL.items():
+        _stride_levels(tile, 0, p**e, p, 2)
+    tile.flags.writeable = False
+    return tile
+
+
 def sieve_segment(lo: int, hi: int) -> np.ndarray:
     """Scaled ratio numerators ratio(n) * 2^SCALE_EXP for all n in [lo, hi).
 
-    The ratio is 1 at every prime, so only prime powers p^k with k >= 2
-    (p <= sqrt(hi-1)) are strided: entries divisible by p^(k+1) move their
-    p-factor from (k+1)/2 to (k+2)/2, exact because (k+1) divides d(n).
-    Guards against int64 overflow of a subsequent full-segment sum: raises
-    instead of wrapping.
+    Only the levels p^k, k >= 2, change a cell (the ratio is 1 at primes): a
+    cell divisible by p^k moves its p-factor from k/2 to (k+1)/2, exact as k
+    divides d(n).  The WHEEL levels come from the cached tile; the other primes
+    up to SPARSE_PRIME_FLOOR, or with p^2 <= size, are strided; each level of
+    the rest is one vector step: each hits at most one cell and no two share
+    one (p1^2 p2^2 > 2^40 >= hi).  Raises if the segment sum could overflow int64.
     """
     if not (1 <= lo <= hi):
         raise ValueError(f"need 1 <= lo <= hi (got [{lo}, {hi}))")
@@ -178,17 +200,20 @@ def sieve_segment(lo: int, hi: int) -> np.ndarray:
         raise MemoryError(
             f"segment of {size} cells exceeds budget {MAX_SEGMENT_CELLS}"
         )
-    num = np.full(size, 1 << SCALE_EXP, dtype=np.int64)
+    tile, num = _wheel_tile(), np.empty(size, dtype=np.int64)
+    for at in range(-(lo % WHEEL_PERIOD), size, WHEEL_PERIOD):  # tile cell 0 falls on num[at]
+        num[max(at, 0) : at + WHEEL_PERIOD] = tile[max(-at, 0) : size - at]
     top = hi - 1
-    for p in primes_upto(isqrt(top)):
-        p = int(p)
-        pk, k = p * p, 1
-        while pk <= top:
-            cells = num[(-lo) % pk :: pk]
-            cells //= k + 1
-            cells *= k + 2
-            pk *= p
-            k += 1
+    primes = primes_upto(isqrt(top))
+    split = int(np.searchsorted(primes, max(SPARSE_PRIME_FLOOR, isqrt(size)), side="right"))
+    for p in primes[:split].tolist():
+        _stride_levels(num, lo, top, p, WHEEL.get(p, 1) + 1)
+    p, e = primes[split:], 2
+    while p.size:
+        at = (-lo) % p**e
+        at = at[at < size]
+        num[at] = num[at] // e * (e + 1)
+        p, e = p[p ** (e + 1) <= top], e + 1
     if size and int(num.max()) * size >= 1 << 63:
         raise OverflowError("segment sum would overflow int64")
     return num

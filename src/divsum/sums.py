@@ -34,6 +34,7 @@ from .multiplicative import (
 from .primes import is_prime
 
 MAX_LIMIT = 10**9
+MAX_THREADS = 64  # each pool thread holds one segment of up to MAX_SEGMENT_CELLS
 # largest q*limit that twisted_sum accepts
 TWISTED_VALUE_BUDGET = 10**10
 CSV_HEADER = ["x", "scale_exp", "S", "S_A", "S_B", "T_nonA", "count_nonA", "q", "twisted_limit", "twisted"]
@@ -95,8 +96,8 @@ class EngineConfig:
             raise ValueError(f"limit must be in [1, {MAX_LIMIT}] (got {self.limit})")
         if not 1 <= self.segment_size <= MAX_SEGMENT_CELLS:
             raise ValueError(f"segment_size must be in [1, {MAX_SEGMENT_CELLS}]")
-        if self.thread_count < 1:
-            raise ValueError("thread_count must be >= 1")
+        if not 1 <= self.thread_count <= MAX_THREADS:
+            raise ValueError(f"thread_count must be in [1, {MAX_THREADS}] (got {self.thread_count})")
         qs = tuple(sorted(set(int(q) for q in self.q_list)))
         if not qs:
             raise ValueError("q_list must not be empty")

@@ -131,6 +131,16 @@ def test_verify_local_refuses_oversize_p_max_before_sieving(capsys, monkeypatch)
     assert err.startswith("error:") and "--p-max" in err
 
 
+def test_verify_local_refuses_oversize_samples_before_grid(capsys, monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("built the grid for an oversize --samples")
+
+    monkeypatch.setattr(cli, "primes_upto", no_sieve)
+    code, out, err = run_cli(capsys, "verify-local", "--samples", "1e10")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--samples" in err
+
+
 def test_verify_local_with_samples_seeded(capsys):
     code1, out1, _ = run_cli(
         capsys, "verify-local", "--p-max", "10", "--samples", "20", "--seed", "123"
@@ -264,6 +274,22 @@ def test_oversize_segment_rejected_before_sieving(tmp_path, capsys, monkeypatch)
         capsys, "sum", "--limit", "100", "--segment-size", "1e8", "--checkpoints", str(cp)
     )
     assert code == 1 and "segment_size" in err
+    assert not cp.exists()
+
+
+def test_threads_above_cap_refused_before_pool(tmp_path, capsys, monkeypatch):
+    from divsum import sums
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a pool for an oversize --threads")
+
+    monkeypatch.setattr(sums, "ThreadPoolExecutor", no_pool)
+    cp = tmp_path / "cp.csv"
+    code, out, err = run_cli(
+        capsys, "sum", "--limit", "1e9", "--threads", str(sums.MAX_THREADS + 1), "--checkpoints", str(cp)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "thread_count" in err
     assert not cp.exists()
 
 

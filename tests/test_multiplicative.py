@@ -1,4 +1,5 @@
 import random
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divsum import multiplicative
 from divsum.multiplicative import (
     SCALE_EXP,
+    WHEEL_PERIOD,
     DyadicValue,
     divisor_count,
     divisor_ratio,
@@ -19,6 +22,7 @@ from divsum.multiplicative import (
     twisted_ratio_numerators,
     unitary_divisor_count,
 )
+from divsum.primes import primes_upto
 
 
 def test_factorize_examples():
@@ -193,6 +197,99 @@ def test_sieve_rejects():
         sieve_segment(1, (1 << 26) + 2)
     with pytest.raises(ValueError):
         sieve_segment(1, (1 << 40) + 1)
+
+
+def _reference_sieve(lo: int, hi: int) -> np.ndarray:
+    """Reference: every cell starts at 2^SCALE_EXP and every level p^(k+1) <= hi-1 is strided."""
+    num = np.full(hi - lo, 1 << SCALE_EXP, dtype=np.int64)
+    top = hi - 1
+    for p in primes_upto(isqrt(top)):
+        p = int(p)
+        pk, k = p * p, 1
+        while pk <= top:
+            cells = num[(-lo) % pk :: pk]
+            cells //= k + 1
+            cells *= k + 2
+            pk *= p
+            k += 1
+    return num
+
+
+def _assert_matches_reference(lo: int, hi: int) -> None:
+    got, want = sieve_segment(lo, hi), _reference_sieve(lo, hi)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want), (lo, hi)
+
+
+@pytest.mark.parametrize("lo", [10**7, 10**9, (1 << 40) - (1 << 20)])
+def test_sieve_matches_reference_on_full_segments(lo):
+    _assert_matches_reference(lo, lo + (1 << 20))
+
+
+def test_sieve_matches_reference_where_primes_above_2_10_are_dense():
+    # a window wider than 1031^2 holds a multiple of p^2 for every p <= 1031
+    for lo, size in ((1, 1031**2 + 2), (10**9, 1100**2), (1025**2 - 3, 1031**2 + 1)):
+        _assert_matches_reference(lo, lo + size)
+
+
+def test_sieve_matches_reference_across_tile_periods():
+    P = WHEEL_PERIOD
+    windows = [(P - 1, P + 1), (3 * P - 7, 5 * P + 7), (P, 2 * P), (1, 3 * P + 1)]
+    for k in (1, 2, 7, 10**6, ((1 << 40) - 5 * P) // P):
+        windows += [(k * P - 50, k * P + 50), (k * P - 1, k * P), (k * P, k * P + 1)]
+    for lo, hi in windows:
+        _assert_matches_reference(lo, hi)
+
+
+def test_sieve_matches_reference_on_empty_and_one_cell_windows():
+    for n in (1, 2, 4, 25, 27, 32, WHEEL_PERIOD, 10**9 + 7, (1 << 40) - 1):
+        _assert_matches_reference(n, n)
+        _assert_matches_reference(n, n + 1)
+    _assert_matches_reference(1 << 40, 1 << 40)
+
+
+def test_sieve_matches_reference_where_two_prime_squares_meet():
+    # 1019^2 1021^2 < 2^40: primes just below 2^10 can share a cell, so the
+    # one-cell-per-level vector step must not take them
+    for p1, p2 in ((1019, 1021), (1013, 1021)):
+        n = (p1 * p2) ** 2
+        assert n < 1 << 40
+        for lo, hi in ((n - 1000, n + 1000), (n, n + 1)):
+            _assert_matches_reference(lo, hi)
+        assert DyadicValue(int(sieve_segment(n, n + 1)[0])) == divisor_ratio(n)
+
+
+@st.composite
+def _wide_windows(draw):
+    lo = draw(st.floats(0, 40).map(lambda x: max(1, int(2.0**x))))
+    return lo, min(lo + draw(st.integers(0, 3 * WHEEL_PERIOD)), 1 << 40)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_wide_windows())
+def test_sieve_matches_reference_on_random_wide_windows(window):
+    _assert_matches_reference(*window)
+
+
+def test_sieve_returns_fresh_writeable_arrays():
+    tile = multiplicative._wheel_tile()
+    assert not tile.flags.writeable
+    for lo, hi in ((1, 1), (1, 2), (5, 3 * WHEEL_PERIOD), (10**9, 10**9 + 70_000)):
+        first = sieve_segment(lo, hi)
+        assert first.flags.writeable and not np.shares_memory(first, tile)
+        first[:] = -1
+        assert np.array_equal(sieve_segment(lo, hi), _reference_sieve(lo, hi))
+
+
+def test_sieve_concurrent_mixed_windows():
+    windows = [(1, 1), (1, 2), (10**7, 10**7 + 40_000), (WHEEL_PERIOD - 3, 3 * WHEEL_PERIOD),
+               (10**9, 10**9 + 5000), ((1 << 40) - 9000, 1 << 40), (7, 7), (12345, 12346)] * 4
+    serial = [sieve_segment(lo, hi) for lo, hi in windows]
+    multiplicative._wheel_tile.cache_clear()  # the threads race to build the tile
+    with ThreadPoolExecutor(4) as pool:
+        got = list(pool.map(lambda w: sieve_segment(*w), windows))
+    for window, want, arr in zip(windows, serial, got):
+        assert np.array_equal(arr, want), window
 
 
 def test_segment_numerators_match_pointwise():

@@ -14,6 +14,7 @@ from divsum.sums import (
     CheckpointFormatError,
     EngineConfig,
     CSV_HEADER,
+    MAX_THREADS,
     accumulate,
     checkpoint_identities,
     checkpoint_schedule,
@@ -49,6 +50,9 @@ def test_config_validation():
         EngineConfig(limit=10, q_list=(4,))
     with pytest.raises(ValueError):
         EngineConfig(limit=10, thread_count=0)
+    with pytest.raises(ValueError, match="thread_count"):
+        EngineConfig(limit=10, thread_count=MAX_THREADS + 1)
+    assert EngineConfig(limit=10, thread_count=MAX_THREADS).thread_count == MAX_THREADS
     with pytest.raises(ValueError, match="segment_size"):
         EngineConfig(limit=10, segment_size=MAX_SEGMENT_CELLS + 1)
 
