@@ -375,7 +375,10 @@ def _cmd_fit(args) -> int:
     slope = args.slope
     q = None
     if quantity.startswith("twisted:"):
-        q = parse_count(quantity.split(":", 1)[1])
+        try:
+            q = parse_count(quantity.split(":", 1)[1])
+        except (ValueError, argparse.ArgumentTypeError):
+            raise ValueError(f"bad quantity {quantity!r}: q is not an integer") from None
         quantity = "twisted"
     # a quantity the CSV lacks fails here, before the Euler product runs
     analysis.quantity_values(checkpoints, quantity, q)

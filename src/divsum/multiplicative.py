@@ -7,14 +7,6 @@ power-of-two scale (SCALE_EXP), which keeps parallel reductions
 order-independent and bit-for-bit reproducible.  The segmented sieve (wheel
 tile, dense strides, sparse vector steps) yields those scaled numerators; d(n)
 and omega(n) themselves are computed only per n, by factorize and the oracle.
-
-The twisted series sum ratio(q n) over a segment needs no per-cell pass.
-Let L_k be the sum of the numerators of the cells with q^k | n, one strided
-slice each (L_0 = S, the segment sum; L_k = 0 once q^k exceeds the segment
-top).  The cells with v_q(n) = k sum to L_k - L_{k+1} and each gains
-1/(k+1) of itself, so the segment contributes
-S + sum_{k>=1} (L_k - L_{k+1}) / (k+1); twisted_ratio_gain returns the
-second term, and the caller adds the S it already has.
 """
 
 from __future__ import annotations
@@ -244,31 +236,3 @@ def twisted_ratio_numerators(q: int, lo: int, num: np.ndarray) -> np.ndarray:
     if int(out.max()) * out.size >= 1 << 63:
         raise OverflowError("segment sum would overflow int64")
     return out
-
-
-def twisted_ratio_gain(q: int, lo: int, num: np.ndarray) -> int:
-    """Sum of twisted_ratio_numerators(q, lo, num) minus num.sum().
-
-    Returns sum_{k>=1} (L_k - L_{k+1}) / (k+1) (see the module docstring),
-    0 for q = 1.  Each division is exact, because every cell with
-    v_q(n) = k has a numerator divisible by k+1; a remainder raises.  Each
-    L_k is a partial sum of num, so sieve_segment's int64 overflow guard on
-    the full sum covers it.
-    """
-    if q != 1 and not is_prime(q):
-        raise ValueError(f"q must be 1 or prime (got {q})")
-    if q == 1:
-        return 0
-    top = lo + num.size - 1
-    levels = []  # L_1, L_2, ... while q^k <= top
-    qk = q
-    while qk <= top:
-        levels.append(int(num[(-lo) % qk :: qk].sum()))
-        qk *= q
-    total = 0
-    for k, (here, above) in enumerate(zip(levels, [*levels[1:], 0]), start=1):
-        gain, rest = divmod(here - above, k + 1)
-        if rest:
-            raise ArithmeticError(f"level {k} sum of q={q} at lo={lo} is not divisible by {k + 1}")
-        total += gain
-    return total

@@ -3,25 +3,27 @@
 One sieve pass over (x0, limit] accumulates, as exact scaled integers, the
 total sum S, the restricted sums S_A / S_B, the complement sum T_nonA, the
 complement count and, for each q, the twisted series sum_{n<=m} ratio(q n).
-The twisted terms come from the same sieve table: with a = v_q(n),
-ratio(q n) = ratio(n) when a = 0 and ratio(n) * (a+2)/(a+1) otherwise, so
-no value above the limit is sieved.  Per segment each q adds to S its gain,
-one strided sum per power of q (multiplicative.twisted_ratio_gain), and
-digitset.class_sums reduces the segment over the digit classes, two
-dot products per 10^4-aligned block plus a stride of 5; no stage loops
-per cell, digit or valuation.  The twisted series is kept at
-two stop conventions per checkpoint x: m = x//q (used by the five-multiple
-split identity) and m = x (used by the linear-main-term checks); both are
-segment boundaries of the pass.  Because every reduction is integer
-addition, results are bit-identical for any segmentation or worker count.
+Per segment digitset.class_sums reduces the sieved numerators over the
+digit classes, and running slice sums give S at every stop inside it.  The
+twisted series needs nothing more: the Euler factor at q gives
+sum ratio(q n) n^-s = E(q^-s) sum ratio(n) n^-s with
+E(y) = (1 - y/2)/(1 - y + y^2/2) = sum_k e_k y^k, so
+sum_{n<=m} ratio(q n) = sum_k e_k S(m // q^k), combined in integers at
+scale 2^TWIST_SHIFT.  It is kept at two stops per checkpoint x: m = x//q
+(used by the five-multiple split identity) and m = x (used by the
+linear-main-term checks).  Checkpoints end segments; stops need not.
+Every reduction is integer addition, so results are bit-identical for any
+segmentation or worker count.
 """
 
 from __future__ import annotations
 
 import csv
 import os
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import digitset
 from .multiplicative import (
@@ -29,7 +31,6 @@ from .multiplicative import (
     SCALE_EXP,
     DyadicValue,
     sieve_segment,
-    twisted_ratio_gain,
 )
 from .primes import is_prime
 
@@ -37,6 +38,9 @@ MAX_LIMIT = 10**9
 MAX_THREADS = 64  # each pool thread holds one segment of up to MAX_SEGMENT_CELLS
 # largest q*limit that twisted_sum accepts
 TWISTED_VALUE_BUDGET = 10**10
+# e_k * 2^TWIST_SHIFT is an integer for k <= 2 * TWIST_SHIFT; a stop
+# m // q^k >= 1 with q * m <= TWISTED_VALUE_BUDGET < 2^34 has k <= 32
+TWIST_SHIFT = 16
 CSV_HEADER = ["x", "scale_exp", "S", "S_A", "S_B", "T_nonA", "count_nonA", "q", "twisted_limit", "twisted"]
 # total numerators stay far below 2^127 for every permitted limit; the guard
 # is kept anyway per the no-silent-wrap policy
@@ -119,45 +123,77 @@ def checkpoint_schedule(limit: int, refine_factor2: bool = True) -> list[int]:
     return sorted(points)
 
 
-def _segment_ranges(lo_n: int, hi_n: int, segment_size: int):
-    """Half-open [a, b) segments covering the integer range (lo_n, hi_n]."""
-    a = lo_n + 1
-    while a <= hi_n:
-        b = min(a + segment_size, hi_n + 1)
-        yield a, b
-        a = b
-
-
 def _segment_class_sums(args) -> tuple[int, ...]:
-    """(S, S_A, S_B, T_nonA, count_nonA, twisted per q) numerator sums over [lo, hi)."""
-    lo, hi, q_list = args
+    """(S, S_A, S_B, T_nonA, count_nonA) numerator sums over [lo, hi), then S over [lo, m] per stop m."""
+    lo, hi, stops = args
     num = sieve_segment(lo, hi)
-    s_all = int(num.sum())
-    twisted = tuple(s_all + twisted_ratio_gain(q, lo, num) for q in q_list)
-    return (s_all, *digitset.class_sums(lo, num), *twisted)
+    upto, run, at = [], 0, 0
+    for m in stops:  # running slice sums: each cell is read once
+        run += int(num[at : m - lo + 1].sum())
+        upto.append(run)
+        at = m - lo + 1
+    return (run + int(num[at:].sum()), *digitset.class_sums(lo, num), *upto)
 
 
-def _twisted_range(q: int, lo: int, hi: int, segment_size: int, map_fn=map) -> int:
-    """Numerator sum of ratio(q n) over n in (lo, hi], sieving only (lo, hi]."""
+def _pass(bounds, stops, segment_size: int, map_fn=map, totals=(0,) * 5):
+    """Running core totals at each bound, and S at each stop, over (bounds[0], bounds[-1]].
 
-    def segment(bounds):
-        num = sieve_segment(*bounds)
-        return int(num.sum()) + twisted_ratio_gain(q, bounds[0], num)
+    Segments end at every bound; stops (sorted) fall anywhere inside them.
+    totals holds the core sums at bounds[0].
+    """
+    jobs = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        for a in range(lo + 1, hi + 1, segment_size):
+            b = min(a + segment_size, hi + 1)
+            jobs.append((a, b, tuple(stops[bisect_left(stops, a) : bisect_left(stops, b)])))
+    at_bound, s_at = {}, {}
+    for (_, b, inside), part in zip(jobs, map_fn(_segment_class_sums, jobs)):
+        s_at.update((m, totals[0] + s) for m, s in zip(inside, part[5:]))
+        totals = tuple(t + p for t, p in zip(totals, part[:5]))
+        at_bound[b - 1] = totals
+    return at_bound, s_at
 
-    return sum(map_fn(segment, _segment_ranges(lo, hi, segment_size)))
+
+def _twist_stops(q: int, m: int) -> list[int]:
+    """The stops m // q^k, k = 0, 1, ..., while nonzero; q = 1 has the one stop m."""
+    stops = [m] if m else []
+    while q > 1 and m >= q:
+        m //= q
+        stops.append(m)
+    return stops
+
+
+@cache
+def _twist_weights() -> tuple[int, ...]:
+    """w_k = e_k * 2^TWIST_SHIFT for k <= 2 * TWIST_SHIFT, from e_k = e_{k-1} - e_{k-2}/2."""
+    w = [1 << TWIST_SHIFT, 1 << (TWIST_SHIFT - 1)]
+    while len(w) <= 2 * TWIST_SHIFT:
+        w.append(w[-1] - w[-2] // 2)  # e_{k-2} has denominator below 2^TWIST_SHIFT
+    return tuple(w)
+
+
+def _twisted_value(q: int, m: int, s_at: dict[int, int]) -> int:
+    """Numerator of sum_{n<=m} ratio(q n) = sum_k e_k S(m // q^k), from S at the stops."""
+    w = _twist_weights()  # indexed, so a stop past the last weight raises IndexError
+    scaled = sum(w[k] * s_at[stop] for k, stop in enumerate(_twist_stops(q, m)))
+    value, rest = divmod(scaled, 1 << TWIST_SHIFT)
+    if rest:
+        raise EngineInvariantError(f"q={q}, m={m}: twisted combination leaves {rest}/2^{TWIST_SHIFT}")
+    return value
 
 
 def twisted_sum(q: int, limit: int, segment_size: int = 1 << 20) -> DyadicValue:
-    """Exact sum_{n<=limit} ratio(q n), from the sieve of n <= limit."""
+    """Exact sum_{n<=limit} ratio(q n), from S at the stops limit // q^k of one pass."""
     if q != 1 and not is_prime(q):
         raise ValueError(f"q must be 1 or prime (got {q})")
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if q * limit > TWISTED_VALUE_BUDGET:
         raise ValueError(f"q*limit exceeds budget {TWISTED_VALUE_BUDGET}")
-    if segment_size > MAX_SEGMENT_CELLS:
-        raise ValueError(f"segment_size must be <= {MAX_SEGMENT_CELLS}")
-    return DyadicValue(_twisted_range(q, 0, limit, max(1, segment_size)))
+    if not 1 <= segment_size <= MAX_SEGMENT_CELLS:
+        raise ValueError(f"segment_size must be in [1, {MAX_SEGMENT_CELLS}]")
+    s_at = _pass([0, limit], sorted(_twist_stops(q, limit)), segment_size)[1]
+    return DyadicValue(_twisted_value(q, limit, s_at))
 
 
 def _load_resume_state(config: EngineConfig, schedule: list[int]):
@@ -223,38 +259,24 @@ def accumulate(config: EngineConfig) -> list[Checkpoint]:
     prior, x0 = _load_resume_state(config, schedule) if resume else ([], 0)
     new_points = [x for x in schedule if x > x0]
 
-    # twisted series per q: persisted stops first, then the stops of this run
-    twisted = {
-        q: {0: 0} | {m: v.numerator for cp in prior for m, v in cp.twisted[q].items()}
-        for q in qs
-    }
-    totals = (*(prior[-1].core if prior else (0,) * 5), *(twisted[q][x0] for q in qs))
-
-    # one pass over (x0, limit]: checkpoints and the twisted stops m = x//q
-    # above x0 are segment boundaries, so running totals land on each of them
-    marks = sorted({*new_points, *(x // q for x in new_points for q in qs if x // q > x0)})
-    jobs = [
-        (a, b, qs)
-        for lo, hi in zip([x0, *marks], marks)
-        for a, b in _segment_ranges(lo, hi, config.segment_size)
-    ]
-    at: dict[int, tuple[int, ...]] = {}
+    # S at every stop x // q^k of the new checkpoints: from the persisted
+    # checkpoints, one pass over [1, largest stop at or below x0 that they
+    # lack], and the main pass over (x0, limit]
+    stops = {m for x in new_points for q in qs for m in _twist_stops(q, x)}
+    s_at = {cp.x: cp.S.numerator for cp in prior}
+    below = sorted(m for m in stops if m <= x0 and m not in s_at)
+    above = sorted(m for m in stops if m > x0)
     with ThreadPoolExecutor(config.thread_count) as pool:
         # one thread maps inline: a one-worker pool made a cold 3e6 run ~10 ms slower
         map_fn = pool.map if config.thread_count > 1 else map
-        for (_, b, _), part in zip(jobs, map_fn(_segment_class_sums, jobs)):
-            totals = tuple(t + p for t, p in zip(totals, part))
-            at[b - 1] = totals
-        for i, q in enumerate(qs):
-            twisted[q].update((m, at[m][5 + i]) for m in marks)
-            # stops below the resume point: re-sieve from the nearest stop below
-            for m in sorted({x // q for x in new_points} - twisted[q].keys()):
-                base = max(k for k in twisted[q] if k < m)
-                part = _twisted_range(q, base, m, config.segment_size, map_fn)
-                twisted[q][m] = twisted[q][base] + part
+        if below:
+            s_at.update(_pass([0, below[-1]], below, config.segment_size, map_fn)[1])
+        core = prior[-1].core if prior else (0,) * 5
+        at, s_new = _pass([x0, *new_points], above, config.segment_size, map_fn, core)
+        s_at.update(s_new)
 
     new = [
-        _checkpoint(x, at[x][:5], {q: {m: twisted[q][m] for m in (x // q, x)} for q in qs})
+        _checkpoint(x, at[x], {q: {m: _twisted_value(q, m, s_at) for m in (x // q, x)} for q in qs})
         for x in new_points
     ]
     for cp in new:  # load_checkpoints has checked the prior ones

@@ -277,6 +277,13 @@ def test_oversize_segment_rejected_before_sieving(tmp_path, capsys, monkeypatch)
     assert not cp.exists()
 
 
+@pytest.mark.parametrize("size", ["0", "-5"])
+def test_twisted_nonpositive_segment_size_exits_1(capsys, size):
+    code, out, err = run_cli(capsys, "twisted", "--q", "5", "--limit", "100", "--segment-size", size)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "segment_size must be in [1, 67108864]" in err
+
+
 def test_threads_above_cap_refused_before_pool(tmp_path, capsys, monkeypatch):
     from divsum import sums
 
@@ -303,6 +310,9 @@ def test_fit_twisted_missing_q_is_error(tmp_path, capsys, monkeypatch):
     assert err.startswith("error:") and "q=11" in err
     code, _, err = run_cli(capsys, "fit", "--checkpoints", cp, "--quantity", "twisted:1.5")
     assert code == 1 and err.startswith("error:") and "not an integer" in err
+    code, out, err = run_cli(capsys, "fit", "--checkpoints", cp, "--quantity", "twisted:abc")
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad quantity 'twisted:abc'")
 
     # without --slope, the missing q is reported before the Euler product runs
     def no_product(*args, **kwargs):

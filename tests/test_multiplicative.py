@@ -18,11 +18,11 @@ from divsum.multiplicative import (
     divisor_ratio_brute,
     factorize,
     sieve_segment,
-    twisted_ratio_gain,
     twisted_ratio_numerators,
     unitary_divisor_count,
 )
-from divsum.primes import primes_upto
+from divsum.primes import is_prime, primes_upto
+from divsum.sums import twisted_sum
 
 
 def test_factorize_examples():
@@ -310,6 +310,35 @@ def test_twisted_ratio_numerators():
         twisted_ratio_numerators(4, 1, sieve_segment(1, 9))
 
 
+def _reference_twisted_gain(q: int, lo: int, num: np.ndarray) -> int:
+    """Sum of twisted_ratio_numerators(q, lo, num) minus num.sum(), by level sums.
+
+    The engine's former per-segment kernel, kept as a reference for
+    sums.twisted_sum.  Let L_k be the sum of the numerators of the cells with
+    q^k | n, one strided slice each (L_0 = num.sum(); L_k = 0 once q^k exceeds
+    the segment top).  The cells with v_q(n) = k sum to L_k - L_{k+1} and each
+    gains 1/(k+1) of itself, so the gain is sum_{k>=1} (L_k - L_{k+1}) / (k+1);
+    0 for q = 1.  A division that leaves a remainder raises.
+    """
+    if q != 1 and not is_prime(q):
+        raise ValueError(f"q must be 1 or prime (got {q})")
+    if q == 1:
+        return 0
+    top = lo + num.size - 1
+    levels = []  # L_1, L_2, ... while q^k <= top
+    qk = q
+    while qk <= top:
+        levels.append(int(num[(-lo) % qk :: qk].sum()))
+        qk *= q
+    total = 0
+    for k, (here, above) in enumerate(zip(levels, [*levels[1:], 0]), start=1):
+        gain, rest = divmod(here - above, k + 1)
+        if rest:
+            raise ArithmeticError(f"level {k} sum of q={q} at lo={lo} is not divisible by {k + 1}")
+        total += gain
+    return total
+
+
 @st.composite
 def _twisted_windows(draw):
     q = draw(st.sampled_from((1, 2, 3, 5, 7, 11, 13)))
@@ -327,7 +356,7 @@ def _twisted_windows(draw):
 def test_twisted_ratio_sum_matches_numerators(window):
     q, lo, hi = window
     nums = sieve_segment(lo, hi)
-    got = int(nums.sum()) + twisted_ratio_gain(q, lo, nums)
+    got = int(nums.sum()) + _reference_twisted_gain(q, lo, nums)
     assert got == int(twisted_ratio_numerators(q, lo, nums).sum())
 
 
@@ -335,10 +364,22 @@ def test_twisted_ratio_sum_examples():
     nums = sieve_segment(1, 1025)  # every level of q = 2 up to 2^10
     for q in (1, 2, 3, 5, 7, 11, 13):
         expected = sum(divisor_ratio(q * n).numerator for n in range(1, 1025))
-        assert int(nums.sum()) + twisted_ratio_gain(q, 1, nums) == expected, q
-    assert twisted_ratio_gain(7, 10**6, sieve_segment(10**6, 10**6)) == 0
+        assert int(nums.sum()) + _reference_twisted_gain(q, 1, nums) == expected, q
+    assert _reference_twisted_gain(7, 10**6, sieve_segment(10**6, 10**6)) == 0
     with pytest.raises(ValueError):
-        twisted_ratio_gain(4, 1, nums)
+        _reference_twisted_gain(4, 1, nums)
     # a numerator that d(n) cannot produce leaves a remainder
     with pytest.raises(ArithmeticError):
-        twisted_ratio_gain(2, 2, np.ones(1, dtype=np.int64))
+        _reference_twisted_gain(2, 2, np.ones(1, dtype=np.int64))
+
+
+def test_twisted_sum_matches_reference_gain_at_1e7():
+    # q = 2 reaches the level k = 23 here, far past the brute-force property tests
+    limit, size = 10**7, 1 << 20
+    want = dict.fromkeys((2, 3, 5, 7), 0)
+    for lo in range(1, limit + 1, size):
+        num = sieve_segment(lo, min(lo + size, limit + 1))
+        for q in want:
+            want[q] += int(num.sum()) + _reference_twisted_gain(q, lo, num)
+    for q, value in want.items():
+        assert twisted_sum(q, limit).numerator == value, q

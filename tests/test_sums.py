@@ -9,12 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divsum import digitset
-from divsum.multiplicative import MAX_SEGMENT_CELLS, DyadicValue, divisor_ratio_brute
+from divsum.multiplicative import MAX_SEGMENT_CELLS, DyadicValue, divisor_ratio, divisor_ratio_brute
+from divsum.primes import is_prime
 from divsum.sums import (
     CheckpointFormatError,
     EngineConfig,
+    EngineInvariantError,
     CSV_HEADER,
     MAX_THREADS,
+    TWIST_SHIFT,
+    TWISTED_VALUE_BUDGET,
+    _twist_stops,
+    _twist_weights,
+    _twisted_value,
     accumulate,
     checkpoint_identities,
     checkpoint_schedule,
@@ -22,6 +29,8 @@ from divsum.sums import (
     save_checkpoints,
     twisted_sum,
 )
+
+PROPERTY_MAX_LIMIT = 3000
 
 GOLDEN_LIMIT10_Q15 = (
     "x,scale_exp,S,S_A,S_B,T_nonA,count_nonA,q,twisted_limit,twisted\n"
@@ -105,8 +114,55 @@ def test_twisted_rejects():
         twisted_sum(1, -1)
     with pytest.raises(ValueError):
         twisted_sum(7, 10**10)
-    with pytest.raises(ValueError, match="segment_size"):
-        twisted_sum(1, 10, segment_size=MAX_SEGMENT_CELLS + 1)
+    for size in (0, -5, MAX_SEGMENT_CELLS + 1):
+        with pytest.raises(ValueError, match=rf"segment_size must be in \[1, {MAX_SEGMENT_CELLS}\]"):
+            twisted_sum(1, 10, segment_size=size)
+
+
+def _twist_coefficients(count: int) -> list[Fraction]:
+    """e_0 .. e_{count-1} of E(y) = (1 - y/2)/(1 - y + y^2/2), in exact rationals."""
+    e = [Fraction(1), Fraction(1, 2)]
+    while len(e) < count:
+        e.append(e[-1] - e[-2] / 2)
+    return e[:count]
+
+
+def test_twist_weights_are_scaled_coefficients():
+    # every stop m // 2^k >= 1 that twisted_sum allows (2 m <= budget) has a weight
+    longest = _twist_stops(2, TWISTED_VALUE_BUDGET // 2)
+    assert len(longest) == max(k for k in range(64) if 2 ** (k + 1) <= TWISTED_VALUE_BUDGET) + 1
+    weights = _twist_weights()
+    assert len(weights) >= len(longest)
+    assert [Fraction(w) for w in weights] == [
+        e * 2**TWIST_SHIFT for e in _twist_coefficients(len(weights))
+    ]
+    # S values that no ratio can produce leave a remainder
+    with pytest.raises(EngineInvariantError, match="leaves"):
+        _twisted_value(2, 2, {2: 1, 1: 1})
+
+
+@lru_cache(maxsize=None)
+def _ratio_prefix() -> list[int]:
+    """prefix[m] = sum_{n<=m} ratio(n) numerators, by factorizing each n."""
+    prefix = [0]
+    for n in range(1, PROPERTY_MAX_LIMIT + 1):
+        prefix.append(prefix[-1] + divisor_ratio(n).numerator)
+    return prefix
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.sampled_from([p for p in range(2, 51) if is_prime(p)]),
+    m=st.integers(0, PROPERTY_MAX_LIMIT),
+)
+def test_twisted_series_is_combination_of_stops(q, m):
+    want = sum(divisor_ratio(q * n).numerator for n in range(1, m + 1))
+    s_prefix = _ratio_prefix()
+    stops = _twist_stops(q, m)
+    assert stops == [m // q**k for k in range(len(stops))] and all(stops)
+    e = _twist_coefficients(len(stops))
+    assert sum(e[k] * s_prefix[stop] for k, stop in enumerate(stops)) == want
+    assert _twisted_value(q, m, s_prefix) == want
 
 
 def test_exact_identities_at_checkpoints():
@@ -312,9 +368,6 @@ def test_resume_rejects_missing_twisted_stop(tmp_path):
     p.write_text("".join(rows[:-1]))  # drop the row of x=100, q=5, m=100
     with pytest.raises(CheckpointFormatError, match="stops"):
         accumulate(EngineConfig(limit=1000, q_list=(5,), resume_path=str(p)))
-
-
-PROPERTY_MAX_LIMIT = 3000
 
 
 @lru_cache(maxsize=None)
