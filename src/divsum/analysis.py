@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -172,32 +172,9 @@ def render_document(obj: dict) -> str:
     return _render(obj) + "\n"
 
 
-def _rows_doc(rows: list[ComparisonRow]) -> list[dict]:
-    return [
-        {
-            "x": r.x,
-            "empirical": r.empirical,
-            "predicted": r.predicted,
-            "residual": r.residual,
-            "normalized": r.normalized,
-        }
-        for r in rows
-    ]
-
-
-def _fit_doc(fit: FitReport) -> dict:
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "points_used": fit.points_used,
-        "excluded_points": fit.excluded_points,
-        "max_abs_residual_of_fit": fit.max_abs_residual_of_fit,
-    }
-
-
 def _maybe_fit(points) -> dict | None:
     try:
-        return _fit_doc(fit_error_exponent(points))
+        return asdict(fit_error_exponent(points))
     except ValueError:
         return None
 
@@ -219,20 +196,20 @@ def report(checkpoints: list[Checkpoint], constants: dict) -> str:
     fits: dict = {}
     if cps and lemma_slope:
         total_rows = compare_main_term(cps, lemma_slope, "S")
-        residuals["total_vs_lemma_slope"] = _rows_doc(total_rows)
+        residuals["total_vs_lemma_slope"] = [asdict(r) for r in total_rows]
         fits["total_residual_exponent"] = _maybe_fit(
             [(r.x, abs(r.residual)) for r in total_rows]
         )
     if cps and theorem_slope:
         raw = compare_main_term(cps, theorem_slope, "S_B")
         corrected = corrected_theorem_rows(cps, theorem_slope)
-        residuals["theorem_raw"] = _rows_doc(raw)
-        residuals["theorem_corrected"] = _rows_doc(corrected)
+        residuals["theorem_raw"] = [asdict(r) for r in raw]
+        residuals["theorem_corrected"] = [asdict(r) for r in corrected]
     twisted_res: dict = {}
     for q, slope in sorted(slopes.items()):
         if all(q in cp.twisted for cp in cps) and cps:
             rows = compare_main_term(cps, slope, "twisted", q=q)
-            twisted_res[str(q)] = _rows_doc(rows)
+            twisted_res[str(q)] = [asdict(r) for r in rows]
     if twisted_res:
         residuals["twisted_vs_slope"] = twisted_res
     if cps:

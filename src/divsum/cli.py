@@ -1,9 +1,11 @@
 """Command-line front end: one binary, machine-readable output by default.
 
-The nine flags listed in the README can be seeded from an environment
-variable with the DIVSUM_ prefix (flag wins over environment, environment
-over built-in default, and a bad value is a usage error either way), e.g.
-DIVSUM_THREADS=8 divsum sum --limit 1e6.
+FLAGS states each shared flag once, in --help order.  Every one of them
+with a default (nine, listed in the README) can be seeded from an
+environment variable with the DIVSUM_ prefix (flag wins over environment,
+environment over built-in default, and a bad value is a usage error either
+way), e.g. DIVSUM_THREADS=8 divsum sum --limit 1e6.  A list flag with no
+values, or an --out that names the --checkpoints file, is a usage error too.
 
 Exit codes: 0 success, 1 verification failure or runtime error, 2 usage.
 """
@@ -24,23 +26,8 @@ from .primes import primes_upto
 
 ENV_PREFIX = "DIVSUM_"
 
-DEFAULTS = {
-    "limit": 10**6,
-    "segment_size": 1 << 20,
-    "threads": 1,
-    "prime_limit": dirichlet.DEFAULT_PRIME_LIMIT,
-    "q": "1,2,3,5,7",
-    "checkpoints": "checkpoints.csv",
-    "format": "json",
-    "seed": 0,
-}
-
 LOCAL_P_MAX_CAP = 10**7  # verify-local sieves p_max + 1 bytes
 LOCAL_SAMPLES_CAP = 10**6  # verify-local holds one (p, s) row per sample
-
-
-def _env(name: str, fallback):
-    return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"), fallback)
 
 
 def parse_count(text) -> int:
@@ -57,13 +44,23 @@ def parse_count(text) -> int:
         return int(f)
 
 
+def _parse_list(text: str, parse) -> tuple:
+    """Comma-separated values, repeats dropped in order of first appearance."""
+    values = tuple(dict.fromkeys(parse(part) for part in str(text).split(",") if part.strip()))
+    if not values:
+        raise argparse.ArgumentTypeError(f"no values in {text!r}")
+    return values
+
+
 def _parse_q_list(text: str) -> tuple[int, ...]:
-    """Comma-separated q values, repeats dropped in order of first appearance."""
     try:
-        values = (parse_count(part) for part in str(text).split(",") if part.strip())
-        return tuple(dict.fromkeys(values))
+        return _parse_list(text, parse_count)
     except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"bad q list: {text!r}")
+
+
+def _parse_s_grid(text: str) -> tuple[float, ...]:
+    return _parse_list(text, float)
 
 
 def _parse_format(text: str) -> str:
@@ -72,9 +69,19 @@ def _parse_format(text: str) -> str:
     return text
 
 
-def _parse_s_grid(text: str) -> tuple[float, ...]:
-    """Comma-separated s values, repeats dropped in order of first appearance."""
-    return tuple(dict.fromkeys(float(part) for part in str(text).split(",") if part.strip()))
+# shared flag -> add_argument kwargs, in --help order
+FLAGS = {
+    "limit": {"type": parse_count, "default": 10**6},
+    "segment-size": {"type": parse_count, "default": 1 << 20},
+    "threads": {"type": parse_count, "default": 1},
+    "prime-limit": {"type": parse_count, "default": dirichlet.DEFAULT_PRIME_LIMIT},
+    "q": {"type": _parse_q_list, "default": "1,2,3,5,7"},
+    "checkpoints": {"default": "checkpoints.csv"},
+    "out": {"default": None},
+    "format": {"type": _parse_format, "metavar": "{csv,json}", "default": "json"},
+    "pretty": {"action": "store_true"},
+    "seed": {"type": parse_count, "default": 0},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,68 +91,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *names):
-        if "limit" in names:
-            p.add_argument("--limit", type=parse_count, default=_env("limit", DEFAULTS["limit"]))
-        if "segment-size" in names:
-            p.add_argument(
-                "--segment-size",
-                type=parse_count,
-                default=_env("segment_size", DEFAULTS["segment_size"]),
-            )
-        if "threads" in names:
-            p.add_argument("--threads", type=parse_count, default=_env("threads", DEFAULTS["threads"]))
-        if "prime-limit" in names:
-            p.add_argument(
-                "--prime-limit",
-                type=parse_count,
-                default=_env("prime_limit", DEFAULTS["prime_limit"]),
-            )
-        if "q" in names:
-            p.add_argument("--q", type=_parse_q_list, default=_env("q", DEFAULTS["q"]))
-        if "checkpoints" in names:
-            p.add_argument(
-                "--checkpoints", default=_env("checkpoints", DEFAULTS["checkpoints"])
-            )
-        if "out" in names:
-            p.add_argument("--out", default=_env("out", None))
-        if "format" in names:
-            p.add_argument("--format", type=_parse_format, metavar="{csv,json}",
-                           default=_env("format", DEFAULTS["format"]))
-        if "pretty" in names:
-            p.add_argument("--pretty", action="store_true")
-        if "seed" in names:
-            p.add_argument("--seed", type=parse_count, default=_env("seed", DEFAULTS["seed"]))
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("classify", help="digit class and smallest multiple-of-5 witness")
+    def add_common(p, *names):
+        for name, kwargs in FLAGS.items():
+            if name in names:
+                if "default" in kwargs:
+                    env = ENV_PREFIX + name.upper().replace("-", "_")
+                    kwargs = {**kwargs, "default": os.environ.get(env, kwargs["default"])}
+                p.add_argument("--" + name, **kwargs)
+
+    p = command("classify", _cmd_classify, "digit class and smallest multiple-of-5 witness")
     p.add_argument("n", type=parse_count)
     add_common(p, "out", "format", "pretty")
 
-    p = sub.add_parser("count-non-a", help="exact complement count and its envelope")
+    p = command("count-non-a", _cmd_count_non_a, "exact complement count and its envelope")
     p.add_argument("x", type=parse_count)
     add_common(p, "out", "format", "pretty")
 
-    p = sub.add_parser("constant", help="Euler product and derived constants")
+    p = command("constant", _cmd_constant, "Euler product and derived constants")
     add_common(p, "prime-limit", "q", "out", "pretty")
 
-    p = sub.add_parser("sum", help="run the partial-sum engine, persist checkpoints")
-    add_common(
-        p, "limit", "segment-size", "threads", "q", "checkpoints", "out", "pretty"
-    )
+    p = command("sum", _cmd_sum, "run the partial-sum engine, persist checkpoints")
+    add_common(p, "limit", "segment-size", "threads", "q", "checkpoints", "out", "pretty")
     p.add_argument("--resume", action="store_true")
     p.add_argument("--no-refine", action="store_true", help="decades only, no 2x points")
 
-    p = sub.add_parser("twisted", help="exact twisted sum for one q")
+    p = command("twisted", _cmd_twisted, "exact twisted sum for one q")
     p.add_argument("--q", dest="q_single", type=parse_count, required=True)
     add_common(p, "limit", "segment-size", "out", "format", "pretty")
 
-    p = sub.add_parser("verify-dirichlet", help="series vs factorization on a grid")
+    p = command("verify-dirichlet", _cmd_verify_dirichlet, "series vs factorization on a grid")
     add_common(p, "q", "prime-limit", "out", "format", "pretty")
     p.add_argument("--s-grid", type=_parse_s_grid, default=(1.5, 2.0, 3.0))
     p.add_argument("--terms", type=parse_count, default=10**6)
     p.add_argument("--tolerance", type=float, default=1e-4)
 
-    p = sub.add_parser("verify-local", help="local factor identity on a prime grid")
+    p = command("verify-local", _cmd_verify_local, "local factor identity on a prime grid")
     add_common(p, "out", "format", "pretty", "seed")
     p.add_argument("--p-max", type=parse_count, default=100)
     p.add_argument("--s-grid", type=_parse_s_grid, default=(0.75, 1.0, 1.5, 2.0, 3.0))
@@ -153,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=parse_count, default=0,
                    help="extra random (p, s) probes beyond the fixed grid")
 
-    p = sub.add_parser("fit", help="log-log exponent fit from a checkpoint CSV")
+    p = command("fit", _cmd_fit, "log-log exponent fit from a checkpoint CSV")
     add_common(p, "checkpoints", "prime-limit", "out", "format", "pretty")
     p.add_argument(
         "--quantity",
@@ -163,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slope", type=float, default=None,
                    help="main-term slope; computed from --prime-limit when omitted")
 
-    p = sub.add_parser("report", help="full verification document from checkpoints")
-    add_common(p, "checkpoints", "prime-limit", "q", "out", "pretty")
+    p = command("report", _cmd_report, "full verification document from checkpoints")
+    add_common(p, "checkpoints", "prime-limit", "q", "out")
 
     return ap
 
@@ -177,30 +162,26 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_doc(doc: dict, args, fmt: str = "json") -> None:
-    if getattr(args, "pretty", False):
+def _emit_doc(doc: dict, args) -> None:
+    if args.pretty:
         width = max(len(k) for k in doc)
         lines = [f"{k.ljust(width)}  {v}" for k, v in doc.items()]
         _emit("\n".join(lines) + "\n", args.out)
-    elif fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(doc.keys())
-        w.writerow(["" if v is None else v for v in doc.values()])
-        _emit(buf.getvalue(), args.out)
+    elif getattr(args, "format", "json") == "csv":
+        _emit_rows([doc], args)
     else:
         _emit(analysis.render_document(doc), args.out)
 
 
-def _emit_rows(rows: list[dict], args, fmt: str) -> None:
-    if getattr(args, "pretty", False) and rows:
+def _emit_rows(rows: list[dict], args) -> None:
+    if args.pretty and rows:
         cols = list(rows[0])
         widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in cols}
         lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
         for r in rows:
             lines.append("  ".join(str(r[c]).ljust(widths[c]) for c in cols))
         _emit("\n".join(lines) + "\n", args.out)
-    elif fmt == "csv":
+    elif args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         if rows:
@@ -212,43 +193,42 @@ def _emit_rows(rows: list[dict], args, fmt: str) -> None:
         _emit(analysis.render_document({"rows": rows}), args.out)
 
 
+def _emit_checks(rows: list[dict], failures: list[str], args) -> int:
+    """Emit the rows of a verification, FAIL lines on stderr; no rows is a failure."""
+    if not rows:
+        failures = ["nothing checked"]
+    _emit_rows(rows, args)
+    for msg in failures:
+        print(f"FAIL: {msg}", file=sys.stderr)
+    return 1 if failures else 0
+
+
 def _cmd_classify(args) -> int:
     cls = digitset.classify(args.n)
     witness = digitset.permutation_witness(args.n)
-    _emit_doc(
-        {"n": args.n, "class": cls.value, "witness": witness},
-        args,
-        args.format,
-    )
+    _emit_doc({"n": args.n, "class": cls.value, "witness": witness}, args)
     return 0
 
 
 def _cmd_count_non_a(args) -> int:
     count = digitset.count_non_a(args.x)
     bound, holds = digitset.non_a_bound(max(1, args.x))
-    _emit_doc(
-        {"x": args.x, "count": count, "bound": bound, "bound_holds": holds},
-        args,
-        args.format,
-    )
+    _emit_doc({"x": args.x, "count": count, "bound": bound, "bound_holds": holds}, args)
     return 0 if holds else 1
 
 
 def _cmd_constant(args) -> int:
     summary = dirichlet.constants_summary(args.prime_limit, args.q)
+    doc = summary
     if args.pretty:
-        _emit_doc(
-            {
-                "prime_limit": summary["prime_limit"],
-                "product": summary["product_value"],
-                "tail_bound": summary["product_tail_bound"],
-                "lemma_constant": summary["lemma_constant"],
-                "theorem_constant": summary["theorem_constant"],
-            },
-            args,
-        )
-    else:
-        _emit(analysis.render_document(summary), args.out)
+        doc = {
+            "prime_limit": summary["prime_limit"],
+            "product": summary["product_value"],
+            "tail_bound": summary["product_tail_bound"],
+            "lemma_constant": summary["lemma_constant"],
+            "theorem_constant": summary["theorem_constant"],
+        }
+    _emit_doc(doc, args)
     return 0 if summary["rational_identity_16_over_123"] else 1
 
 
@@ -291,7 +271,6 @@ def _cmd_twisted(args) -> int:
             "value": value.to_float(),
         },
         args,
-        args.format,
     )
     return 0
 
@@ -328,10 +307,7 @@ def _cmd_verify_dirichlet(args) -> int:
             )
             if not ok:
                 failures.append(f"|lhs({q},{s}) - rhs({q},{s})| = {gap:.3e} > {allowed:.3e}")
-    _emit_rows(rows, args, args.format)
-    for msg in failures:
-        print(f"FAIL: {msg}", file=sys.stderr)
-    return 1 if failures else 0
+    return _emit_checks(rows, failures, args)
 
 
 def _cmd_verify_local(args) -> int:
@@ -353,10 +329,7 @@ def _cmd_verify_local(args) -> int:
         rows.append({"p": p, "s": s, "residual": r, "within_tolerance": ok})
         if not ok:
             failures.append(f"local factor residual at (p={p}, s={s}) is {r:.3e} > {args.tolerance:.3e}")
-    _emit_rows(rows, args, args.format)
-    for msg in failures:
-        print(f"FAIL: {msg}", file=sys.stderr)
-    return 1 if failures else 0
+    return _emit_checks(rows, failures, args)
 
 
 def _cmd_fit(args) -> int:
@@ -369,7 +342,6 @@ def _cmd_fit(args) -> int:
             {"quantity": quantity, "slope": fit.slope, "intercept": fit.intercept,
              "points_used": fit.points_used, "excluded_points": fit.excluded_points},
             args,
-            args.format,
         )
         return 0
     slope = args.slope
@@ -400,7 +372,6 @@ def _cmd_fit(args) -> int:
             "excluded_points": fit.excluded_points,
         },
         args,
-        args.format,
     )
     return 0
 
@@ -413,27 +384,17 @@ def _cmd_report(args) -> int:
     return 0 if constants["rational_identity_16_over_123"] else 1
 
 
-_COMMANDS = {
-    "classify": _cmd_classify,
-    "count-non-a": _cmd_count_non_a,
-    "constant": _cmd_constant,
-    "sum": _cmd_sum,
-    "twisted": _cmd_twisted,
-    "verify-dirichlet": _cmd_verify_dirichlet,
-    "verify-local": _cmd_verify_local,
-    "fit": _cmd_fit,
-    "report": _cmd_report,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        checkpoints = getattr(args, "checkpoints", None)
+        if args.out and checkpoints and os.path.realpath(args.out) == os.path.realpath(checkpoints):
+            parser.error(f"--out and --checkpoints name the same file: {args.out!r}")
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError, sums.CheckpointFormatError, argparse.ArgumentTypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

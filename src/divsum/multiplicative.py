@@ -36,35 +36,22 @@ Factorization = list[tuple[int, int]]
 
 @dataclass(frozen=True, order=True)
 class DyadicValue:
-    """Exact rational numerator / 2^scale_exp with integer arithmetic only."""
+    """Exact rational numerator / 2^SCALE_EXP with integer arithmetic only."""
 
     numerator: int
-    scale_exp: int = SCALE_EXP
-
-    def __post_init__(self):
-        if self.scale_exp < 0:
-            raise ValueError("scale_exp must be non-negative")
-
-    def _check_scale(self, other: "DyadicValue") -> None:
-        if self.scale_exp != other.scale_exp:
-            raise ValueError(
-                f"scale mismatch: {self.scale_exp} vs {other.scale_exp}"
-            )
 
     def __add__(self, other: "DyadicValue") -> "DyadicValue":
-        self._check_scale(other)
-        return DyadicValue(self.numerator + other.numerator, self.scale_exp)
+        return DyadicValue(self.numerator + other.numerator)
 
     def __sub__(self, other: "DyadicValue") -> "DyadicValue":
-        self._check_scale(other)
-        return DyadicValue(self.numerator - other.numerator, self.scale_exp)
+        return DyadicValue(self.numerator - other.numerator)
 
     def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.scale_exp)
+        return Fraction(self.numerator, 1 << SCALE_EXP)
 
     def to_float(self) -> float:
         # one rounding step: float(numerator) then exact power-of-two scale
-        return float(self.numerator) * 2.0 ** (-self.scale_exp)
+        return float(self.numerator) * 2.0 ** (-SCALE_EXP)
 
     @classmethod
     def zero(cls) -> "DyadicValue":
@@ -78,7 +65,7 @@ class DyadicValue:
         return cls(d << (SCALE_EXP - omega))
 
     def __repr__(self):
-        return f"DyadicValue({self.numerator}/2^{self.scale_exp})"
+        return f"DyadicValue({self.numerator}/2^{SCALE_EXP})"
 
 
 def factorize(n: int) -> Factorization:

@@ -398,3 +398,130 @@ def test_sum_1e6_matches_recorded_grid_csv(tmp_path, capsys, extra):
     code, _, _ = run_cli(capsys, "sum", "--limit", "1e6", "--checkpoints", str(out), *extra)
     assert code == 0
     assert out.read_bytes() == (root / "perfbench" / "data" / "grid_1e6.csv").read_bytes()
+
+
+PINNED_OUTPUTS = [
+    (["classify", "51"], '{\n  "n": 51,\n  "class": "B",\n  "witness": "15"\n}\n'),
+    (["classify", "51", "--format", "csv"], "n,class,witness\n51,B,15\n"),
+    (["classify", "51", "--pretty"], "n        51\nclass    B\nwitness  15\n"),
+    (
+        ["count-non-a", "1e6"],
+        '{\n  "x": 1000000,\n  "count": 299592,\n  "bound": 2396745.14285714,\n'
+        '  "bound_holds": true\n}\n',
+    ),
+    (
+        ["count-non-a", "1e6", "--format", "csv"],
+        "x,count,bound,bound_holds\n1000000,299592,2396745.1428571376,True\n",
+    ),
+    (
+        ["count-non-a", "1e6", "--pretty"],
+        "x            1000000\ncount        299592\nbound        2396745.1428571376\n"
+        "bound_holds  True\n",
+    ),
+    (
+        ["twisted", "--q", "5", "--limit", "1e5"],
+        '{\n  "q": 5,\n  "limit": 100000,\n  "numerator": 671932601073664,\n'
+        '  "scale_exp": 32,\n  "value": 156446.5\n}\n',
+    ),
+    (
+        ["twisted", "--q", "5", "--limit", "1e5", "--format", "csv"],
+        "q,limit,numerator,scale_exp,value\n5,100000,671932601073664,32,156446.5\n",
+    ),
+    (
+        ["twisted", "--q", "5", "--limit", "1e5", "--pretty"],
+        "q          5\nlimit      100000\nnumerator  671932601073664\nscale_exp  32\n"
+        "value      156446.5\n",
+    ),
+    (
+        ["sum", "--limit", "1e4", "--checkpoints", "s.csv"],
+        '{\n  "limit": 10000,\n  "checkpoints_written": 7,\n  "path": "s.csv",\n'
+        '  "S": 14205.125,\n  "S_A": 7713,\n  "S_B": 4619.875,\n  "T_nonA": 6492.125,\n'
+        '  "count_nonA": 4680\n}\n',
+    ),
+    (
+        ["sum", "--limit", "1e4", "--checkpoints", "s.csv", "--pretty"],
+        "limit                10000\ncheckpoints_written  7\npath                 s.csv\n"
+        "S                    14205.125\nS_A                  7713.0\n"
+        "S_B                  4619.875\nT_nonA               6492.125\n"
+        "count_nonA           4680\n",
+    ),
+    (
+        ["constant", "--prime-limit", "1e4", "--pretty"],
+        "prime_limit       10000\nproduct           0.8679153593901392\n"
+        "tail_bound        0.0001\nlemma_constant    1.4276635418016617\n"
+        "theorem_constant  1.1142739838451994\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, want", PINNED_OUTPUTS, ids=[" ".join(a) for a, _ in PINNED_OUTPUTS])
+def test_stdout_is_pinned(tmp_path, capsys, monkeypatch, argv, want):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == want
+
+
+@pytest.mark.parametrize(
+    "cmd", [["sum", "--limit", "1e4"], ["fit", "--slope", "1.4"], ["report", "--prime-limit", "1e3"]]
+)
+@pytest.mark.parametrize("stored", [False, True])
+def test_out_naming_checkpoints_is_usage_error(tmp_path, capsys, monkeypatch, cmd, stored):
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(tmp_path)
+    cp = tmp_path / "cp.csv"
+    if stored:
+        cp.write_bytes((root / "perfbench" / "data" / "grid_1e6.csv").read_bytes())
+    before = cp.read_bytes() if stored else None
+    code, out, err = run_cli(capsys, *cmd, "--checkpoints", "cp.csv", "--out", str(cp))
+    assert code == 2 and out == ""
+    assert "--out" in err and "--checkpoints" in err
+    assert (cp.read_bytes() if cp.exists() else None) == before
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["verify-dirichlet", "--q", ","], {}),
+        (["verify-dirichlet", "--q", "1", "--s-grid", ","], {}),
+        (["verify-dirichlet"], {"DIVSUM_Q": ","}),
+        (["verify-local", "--s-grid", ","], {}),
+        (["sum", "--limit", "100", "--q", ""], {}),
+        (["sum", "--limit", "100"], {"DIVSUM_Q": ""}),
+        (["constant", "--prime-limit", "100"], {"DIVSUM_Q": ","}),
+    ],
+)
+def test_empty_list_is_usage_error(tmp_path, capsys, monkeypatch, argv, env):
+    from divsum import sums
+
+    def no_sieve(*args):
+        raise AssertionError("sieved for an empty list")
+
+    monkeypatch.setattr(sums, "sieve_segment", no_sieve)
+    monkeypatch.setattr(dirichlet, "sieve_segment", no_sieve)
+    monkeypatch.setattr(cli, "primes_upto", no_sieve)
+    monkeypatch.chdir(tmp_path)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--q" in err or "--s-grid" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_nothing_checked_is_a_failure(capsys):
+    code, out, err = run_cli(capsys, "verify-local", "--p-max", "1")
+    assert code == 1
+    assert json.loads(out) == {"rows": []}
+    assert err == "FAIL: nothing checked\n"
+    code, out, err = run_cli(capsys, "verify-local", "--p-max", "1", "--samples", "2")
+    assert code == 0 and len(json.loads(out)["rows"]) == 2
+
+
+def test_report_refuses_pretty(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "report", "--checkpoints", str(tmp_path / "none.csv"), "--prime-limit", "100",
+        "--pretty",
+    )
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --pretty" in err
