@@ -391,6 +391,8 @@ def main(argv=None) -> int:
         checkpoints = getattr(args, "checkpoints", None)
         if args.out and checkpoints and os.path.realpath(args.out) == os.path.realpath(checkpoints):
             parser.error(f"--out and --checkpoints name the same file: {args.out!r}")
+        if not 0 <= getattr(args, "tolerance", 0) < math.inf:  # refuses nan too
+            parser.error(f"--tolerance must be finite and >= 0 (got {args.tolerance})")
     except SystemExit as e:
         return int(e.code or 0)
     try:

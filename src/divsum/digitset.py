@@ -7,13 +7,13 @@ by 5 exactly when its last digit is 0 or 5, membership in A reduces to
 "contains a digit 0 or 5"; the equivalence is argued in the README and
 property-tested against explicit permutation witnesses.
 
-class_sums reduces values over the classes in one loop over the
-10^4-aligned blocks n = h*10^4 + r that a range touches, full or partial.
-The high part h is one Python int per block: when str(h) holds a 0 or 5
-the whole block lies in A; otherwise each cell's class is read from a
-10^4-entry table over the four zero-padded low digits r (or over r
-itself, unpadded, when h = 0), and the block's sums over A and over its
-complement are two dot products with that table's 0/1 weights.
+class_sums views the 10^4-aligned blocks n = h*10^4 + r of a range as
+rows: the full rows as one (rows, 10^4) view, a partial head and tail as
+one-row views.  A row whose high part h shows a 0 or 5 lies wholly in A;
+the others take each cell's class from a table over the four zero-padded
+low digits r (over r itself, unpadded, when h = 0).  One einsum with the
+table's stacked 0/1 weights gives every row's sums over A and over its
+complement.
 """
 
 from __future__ import annotations
@@ -38,15 +38,15 @@ _BLOCK = 10**4
 
 
 @cache
-def _digit_tables() -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """(w_A, w_nonA, nonA_prefix) for padded and for unpadded r in [0, 10^4).
+def _digit_tables() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(weights, nonA_prefix) for padded and for unpadded r in [0, 10^4).
 
     Padded reads r as four digits with leading zeros, the low part of some
-    n >= 10^4; unpadded reads r as written, for n = r < 10^4.  w_A is 1
-    where r shows a 0 or 5 among those digits, w_nonA is its complement,
-    and nonA_prefix[i] counts the non-A entries below i.  Built on first
-    use, so importing the module costs nothing; all are read-only, because
-    every caller shares them.
+    n >= 10^4; unpadded reads r as written, for n = r < 10^4.  weights
+    stacks w_A (1 where r shows a 0 or 5 among those digits) over its
+    complement w_nonA, and nonA_prefix[i] counts the non-A entries below i.
+    Built on first use, so importing the module costs nothing; all are
+    read-only, because every caller shares them.
     """
     r = np.arange(_BLOCK)
     hits = [r // 10**i % 10 % 5 == 0 for i in range(4)]  # digit i of r is 0 or 5
@@ -55,13 +55,21 @@ def _digit_tables() -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     unpadded = np.any([hit & (r >= 10**i) for i, hit in enumerate(hits)], axis=0)
     tables = []
     for in_a in (padded, unpadded):
-        w_a = in_a.astype(np.int64)
-        w_non = 1 - w_a
-        prefix = np.concatenate(([0], np.cumsum(w_non)))
-        for table in (w_a, w_non, prefix):
+        weights = np.stack((in_a, ~in_a)).astype(np.int64)
+        prefix = np.concatenate(([0], np.cumsum(weights[1])))
+        for table in (weights, prefix):
             table.flags.writeable = False
-        tables.append((w_a, w_non, prefix))
+        tables.append((weights, prefix))
     return tuple(tables)
+
+
+def _has_no_0_or_5(h: np.ndarray) -> np.ndarray:
+    """True where the decimal digits of h >= 0 hold no 0 or 5 (so at h = 0)."""
+    ok = np.ones(h.shape, dtype=bool)
+    while h.any():
+        ok &= (h % 5 != 0) | (h == 0)  # the last digit of h is 0 or 5 iff 5 divides h
+        h = h // 10
+    return ok
 
 
 class DigitClass(enum.Enum):
@@ -116,22 +124,20 @@ def class_sums(lo: int, num: np.ndarray) -> tuple[int, int, int, int]:
     """
     if lo < 1:
         raise ValueError(f"class_sums is defined for lo >= 1 (got {lo})")
-    padded, unpadded = _digit_tables()
+    a = -(-lo // _BLOCK) * _BLOCK  # the full rows span [a, b), empty when b = a
+    b = max(a, (lo + num.size) // _BLOCK * _BLOCK)
+    mixed = _has_no_0_or_5(np.arange(lo // _BLOCK, b // _BLOCK + 1))  # the rows not wholly in A
     s_a = t_non = count = 0
-    a, hi = lo, lo + num.size
-    while a < hi:
-        h, r = divmod(a, _BLOCK)
-        b = min(hi, a - r + _BLOCK)
-        cells = num[a - lo : b - lo]
-        if h and not NON_A_DIGITS.issuperset(str(h)):
-            s_a += int(cells.sum())
-        else:
-            w_a, w_non, prefix = unpadded if h == 0 else padded
-            end = r + b - a
-            s_a += int(cells @ w_a[r:end])
-            t_non += int(cells @ w_non[r:end])
-            count += int(prefix[end] - prefix[r])
-        a = b
+    full = num[a - lo : b - lo].reshape(-1, _BLOCK)
+    for start, rows in ((lo, num[: a - lo][None]), (a, full), (b, num[b - lo :][None])):
+        h, r = divmod(start, _BLOCK)  # rows[i, j] holds n = (h + i) 10^4 + r + j
+        weights, prefix = _digit_tables()[h == 0]  # h = 0 only in the one-row head
+        end = r + rows.shape[1]
+        in_a, non_a = np.einsum("ij,kj->ki", rows, weights[:, r:end])
+        mix = mixed[h - lo // _BLOCK :][: len(rows)]
+        s_a += int(in_a.sum()) + int(non_a[~mix].sum())
+        t_non += int(non_a[mix].sum())
+        count += int(mix.sum()) * int(prefix[end] - prefix[r])
     multiples_of_5 = int(num[(-lo) % 5 :: 5].sum())
     return s_a, s_a - multiples_of_5, t_non, count
 

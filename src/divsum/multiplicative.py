@@ -5,8 +5,8 @@ value for n < 2^64 is a dyadic rational with denominator at most 2^15.  All
 sums of ratios are therefore accumulated exactly as integers at a fixed
 power-of-two scale (SCALE_EXP), which keeps parallel reductions
 order-independent and bit-for-bit reproducible.  The segmented sieve (wheel
-tile, dense strides, sparse vector steps) yields those scaled numerators; d(n)
-and omega(n) themselves are computed only per n, by factorize and the oracle.
+tile, strides up to top^(1/4), vector steps above) yields those scaled
+numerators; d(n) and omega(n) are computed only per n, by factorize and the oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ MAX_SIEVE_VALUE = 1 << 40
 MAX_SEGMENT_CELLS = 1 << 26  # memory budget for one dense segment
 WHEEL = {2: 5, 3: 3, 5: 2}  # sieve_segment copies the levels p^2..p^e from one tile
 WHEEL_PERIOD = prod(p**e for p, e in WHEEL.items())  # 21600 cells, 169 KiB
-SPARSE_PRIME_FLOOR = isqrt(isqrt(MAX_SIEVE_VALUE))  # 2^10: p1^2 p2^2 > 2^40 above it
 BRUTE_FORCE_LIMIT = 10**7
 
 # ordered (prime, exponent) pairs; primes strictly increasing, exponents >= 1
@@ -165,10 +164,10 @@ def sieve_segment(lo: int, hi: int) -> np.ndarray:
 
     Only the levels p^k, k >= 2, change a cell (the ratio is 1 at primes): a
     cell divisible by p^k moves its p-factor from k/2 to (k+1)/2, exact as k
-    divides d(n).  The WHEEL levels come from the cached tile; the other primes
-    up to SPARSE_PRIME_FLOOR, or with p^2 <= size, are strided; each level of
-    the rest is one vector step: each hits at most one cell and no two share
-    one (p1^2 p2^2 > 2^40 >= hi).  Raises if the segment sum could overflow int64.
+    divides d(n).  The cached tile gives the WHEEL levels; the higher levels of
+    the WHEEL primes and all primes up to top^(1/4) (top = hi - 1) are strided;
+    each level of the rest is one fancy-index step over all their hits, exact as
+    no two share a cell (p1^2 p2^2 > top).  Raises if the sum could overflow int64.
     """
     if not (1 <= lo <= hi):
         raise ValueError(f"need 1 <= lo <= hi (got [{lo}, {hi}))")
@@ -179,18 +178,21 @@ def sieve_segment(lo: int, hi: int) -> np.ndarray:
         raise MemoryError(
             f"segment of {size} cells exceeds budget {MAX_SEGMENT_CELLS}"
         )
-    tile, num = _wheel_tile(), np.empty(size, dtype=np.int64)
-    for at in range(-(lo % WHEEL_PERIOD), size, WHEEL_PERIOD):  # tile cell 0 falls on num[at]
-        num[max(at, 0) : at + WHEEL_PERIOD] = tile[max(-at, 0) : size - at]
+    skip = lo % WHEEL_PERIOD  # the tile, broadcast over whole periods from lo - skip
+    num = np.empty(((skip + size) // WHEEL_PERIOD + 1, WHEEL_PERIOD), dtype=np.int64)
+    num[:] = _wheel_tile()  # one copy that releases the interpreter lock, unlike np.tile
+    num = num.reshape(-1)[skip : skip + size]
     top = hi - 1
     primes = primes_upto(isqrt(top))
-    split = int(np.searchsorted(primes, max(SPARSE_PRIME_FLOOR, isqrt(size)), side="right"))
+    split = int(np.searchsorted(primes, max(isqrt(isqrt(top)), max(WHEEL)), side="right"))
     for p in primes[:split].tolist():
         _stride_levels(num, lo, top, p, WHEEL.get(p, 1) + 1)
     p, e = primes[split:], 2
     while p.size:
-        at = (-lo) % p**e
-        at = at[at < size]
+        start = (-lo) % (pe := p**e)
+        hits = (size - start + pe - 1) // pe  # the cells start + j p^e below size
+        j = np.arange(hits.sum()) - np.repeat(np.cumsum(hits) - hits, hits)
+        at = np.repeat(start, hits) + j * np.repeat(pe, hits)
         num[at] = num[at] // e * (e + 1)
         p, e = p[p ** (e + 1) <= top], e + 1
     if size and int(num.max()) * size >= 1 << 63:

@@ -124,30 +124,30 @@ def checkpoint_schedule(limit: int, refine_factor2: bool = True) -> list[int]:
 
 
 def _segment_class_sums(args) -> tuple[int, ...]:
-    """(S, S_A, S_B, T_nonA, count_nonA) numerator sums over [lo, hi), then S over [lo, m] per stop m."""
-    lo, hi, stops = args
+    """Core numerator sums over [lo, hi) (class sums 0 without classes), then S over [lo, m] per stop m."""
+    lo, hi, stops, classes = args
     num = sieve_segment(lo, hi)
     upto, run, at = [], 0, 0
     for m in stops:  # running slice sums: each cell is read once
         run += int(num[at : m - lo + 1].sum())
         upto.append(run)
         at = m - lo + 1
-    return (run + int(num[at:].sum()), *digitset.class_sums(lo, num), *upto)
+    return (run + int(num[at:].sum()), *(digitset.class_sums(lo, num) if classes else (0,) * 4), *upto)
 
 
-def _pass(bounds, stops, segment_size: int, map_fn=map, totals=(0,) * 5):
+def _pass(bounds, stops, segment_size: int, map_fn=map, totals=(0,) * 5, classes=True):
     """Running core totals at each bound, and S at each stop, over (bounds[0], bounds[-1]].
 
     Segments end at every bound; stops (sorted) fall anywhere inside them.
-    totals holds the core sums at bounds[0].
+    totals holds the core sums at bounds[0]; without classes only S is summed.
     """
     jobs = []
     for lo, hi in zip(bounds, bounds[1:]):
         for a in range(lo + 1, hi + 1, segment_size):
             b = min(a + segment_size, hi + 1)
-            jobs.append((a, b, tuple(stops[bisect_left(stops, a) : bisect_left(stops, b)])))
+            jobs.append((a, b, tuple(stops[bisect_left(stops, a) : bisect_left(stops, b)]), classes))
     at_bound, s_at = {}, {}
-    for (_, b, inside), part in zip(jobs, map_fn(_segment_class_sums, jobs)):
+    for (_, b, inside, _), part in zip(jobs, map_fn(_segment_class_sums, jobs)):
         s_at.update((m, totals[0] + s) for m, s in zip(inside, part[5:]))
         totals = tuple(t + p for t, p in zip(totals, part[:5]))
         at_bound[b - 1] = totals
@@ -192,7 +192,7 @@ def twisted_sum(q: int, limit: int, segment_size: int = 1 << 20) -> DyadicValue:
         raise ValueError(f"q*limit exceeds budget {TWISTED_VALUE_BUDGET}")
     if not 1 <= segment_size <= MAX_SEGMENT_CELLS:
         raise ValueError(f"segment_size must be in [1, {MAX_SEGMENT_CELLS}]")
-    s_at = _pass([0, limit], sorted(_twist_stops(q, limit)), segment_size)[1]
+    s_at = _pass([0, limit], sorted(_twist_stops(q, limit)), segment_size, classes=False)[1]
     return DyadicValue(_twisted_value(q, limit, s_at))
 
 
@@ -270,7 +270,7 @@ def accumulate(config: EngineConfig) -> list[Checkpoint]:
         # one thread maps inline: a one-worker pool made a cold 3e6 run ~10 ms slower
         map_fn = pool.map if config.thread_count > 1 else map
         if below:
-            s_at.update(_pass([0, below[-1]], below, config.segment_size, map_fn)[1])
+            s_at.update(_pass([0, below[-1]], below, config.segment_size, map_fn, classes=False)[1])
         core = prior[-1].core if prior else (0,) * 5
         at, s_new = _pass([x0, *new_points], above, config.segment_size, map_fn, core)
         s_at.update(s_new)

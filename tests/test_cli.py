@@ -525,3 +525,22 @@ def test_report_refuses_pretty(tmp_path, capsys):
     )
     assert code == 2 and out == ""
     assert "unrecognized arguments: --pretty" in err
+
+
+@pytest.mark.parametrize("cmd", ["verify-dirichlet", "verify-local"])
+@pytest.mark.parametrize("value", ["-1", "-1e-9", "-inf", "inf", "nan"])
+def test_bad_tolerance_is_usage_error(capsys, monkeypatch, cmd, value):
+    # inf used to pass every row and nan to fail every row, both after the whole check ran
+    def not_yet(*args):
+        raise AssertionError("checked rows before --tolerance was validated")
+
+    monkeypatch.setattr(dirichlet, "dirichlet_lhs", not_yet)
+    monkeypatch.setattr(dirichlet, "local_factor_residual", not_yet)
+    code, out, err = run_cli(capsys, cmd, f"--tolerance={value}")
+    assert code == 2 and out == ""
+    assert "--tolerance must be finite and >= 0" in err
+
+
+def test_zero_tolerance_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "verify-local", "--p-max", "3", "--s-grid", "2", "--tolerance", "0")
+    assert code in (0, 1) and json.loads(out)["rows"]

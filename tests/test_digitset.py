@@ -7,8 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divsum.digitset import (
+    NON_A_DIGITS,
     DigitClass,
     DigitMultiset,
+    _has_no_0_or_5,
     class_sums,
     classify,
     count_non_a,
@@ -167,13 +169,13 @@ def _class_sums_by_cell(lo, values):
 @st.composite
 def _class_sum_windows(draw):
     # half the windows are random; the rest start and end on or near a
-    # 10^4-block edge, spanning 0-5 full rows, sometimes from the first
+    # 10^4-block edge, spanning 0-12 full rows, sometimes from the first
     # block n < 10^4 and sometimes inside a single block
     if draw(st.booleans()):
         lo = draw(st.integers(1, 1 << 40))
         return lo, lo + draw(st.integers(0, 50_000))
-    first = draw(st.just(0) | st.integers(1, (1 << 40) // 10**4 - 6))
-    last = first + draw(st.integers(0, 5))
+    first = draw(st.just(0) | st.integers(1, (1 << 40) // 10**4 - 13))
+    last = first + draw(st.integers(0, 12))
     offset = st.sampled_from((0, 1, 2, 9_998, 9_999)) | st.integers(0, 9_999)
     lo, hi = sorted((first * 10**4 + draw(offset), last * 10**4 + draw(offset)))
     return max(lo, 1), max(hi, 1)
@@ -197,6 +199,9 @@ def _class_sum_windows(draw):
 @example((10**8 - 12_345, 10**8 + 12_345), 13)
 @example((10**9 - 12_345, 10**9 + 12_345), 14)
 @example((10**9, 10**9), 15)
+@example((5, 4 * 10**4 + 9_999), 16)
+@example((9_999, 6 * 10**4 + 1), 17)
+@example((10**4 * 1108 + 17, 10**4 * 1114 + 3), 18)
 def test_class_sums_match_classify_per_cell(window, seed):
     lo, hi = window
     num = np.random.default_rng(seed).integers(-(1 << 40), 1 << 40, size=hi - lo)
@@ -234,6 +239,13 @@ def test_class_sums_are_exact_membership_bitmasks(window):
     assert class_sums(lo, num) == (
         bitmask(b_member, five), bitmask(b_member), bitmask(non_a), classes.count(non_a)
     )
+
+
+def test_high_part_flag_matches_str_below_10_6():
+    h = np.arange(10**6)
+    want = [True] + [NON_A_DIGITS.issuperset(str(v)) for v in range(1, 10**6)]
+    assert _has_no_0_or_5(h).tolist() == want
+    assert _has_no_0_or_5(h[:0]).size == 0
 
 
 def test_class_sums_rejects_lo_below_1():

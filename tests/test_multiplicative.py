@@ -224,10 +224,31 @@ def test_sieve_matches_reference_on_full_segments(lo):
     _assert_matches_reference(lo, lo + (1 << 20))
 
 
-def test_sieve_matches_reference_where_primes_above_2_10_are_dense():
-    # a window wider than 1031^2 holds a multiple of p^2 for every p <= 1031
-    for lo, size in ((1, 1031**2 + 2), (10**9, 1100**2), (1025**2 - 3, 1031**2 + 1)):
+def test_sieve_matches_reference_where_vector_primes_hit_many_cells():
+    # every prime above top^(1/4) takes the vector step; in these windows
+    # some of them have p^2 < size, so one level hits several of their cells
+    for lo, size in ((1, 1031**2 + 2), (10**9, 1100**2), (1025**2 - 3, 1031**2 + 1), (10**6, 300_000)):
+        top = lo + size - 1
+        assert any(p * p < size for p in primes_upto(isqrt(top)) if p > isqrt(isqrt(top)))
         _assert_matches_reference(lo, lo + size)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 1021])
+def test_sieve_matches_reference_where_top_straddles_a_fourth_power(p):
+    # top = p^4 - 1 gives p to the vector step, top = p^4 strides it; the
+    # wide windows hold the multiple n - p^2 too.  1021 is the largest
+    # prime with p^4 <= 2^40
+    n = p**4
+    assert isqrt(isqrt(n - 1)) == p - 1 and isqrt(isqrt(n)) == p
+    for lo in (n - p * p - 1, n - 1):
+        for hi in (n, n + 1, n + 2):
+            _assert_matches_reference(lo, hi)
+
+
+def test_sieve_matches_reference_from_1_where_top_is_below_5_4():
+    # below 5^4 the bound top^(1/4) falls under the wheel primes, which stay strided
+    for hi in range(1, 5**4 + 80):
+        _assert_matches_reference(1, hi)
 
 
 def test_sieve_matches_reference_across_tile_periods():
@@ -247,8 +268,8 @@ def test_sieve_matches_reference_on_empty_and_one_cell_windows():
 
 
 def test_sieve_matches_reference_where_two_prime_squares_meet():
-    # 1019^2 1021^2 < 2^40: primes just below 2^10 can share a cell, so the
-    # one-cell-per-level vector step must not take them
+    # 1019^2 1021^2 < 2^40: at top = (1019 * 1021)^2, top^(1/4) lies between
+    # them, so 1019 is strided and only 1021 takes the vector step
     for p1, p2 in ((1019, 1021), (1013, 1021)):
         n = (p1 * p2) ** 2
         assert n < 1 << 40

@@ -218,6 +218,17 @@ def test_thread_count_determinism(tmp_path):
     assert files[0] == files[1] == files[2]
 
 
+def test_full_size_segments_on_two_threads_match_one(tmp_path):
+    # 20 segment jobs of 2^18 cells, run side by side on two threads
+    files = []
+    for workers in (1, 2):
+        p = tmp_path / f"t{workers}.csv"
+        cfg = EngineConfig(limit=5 * 10**6, segment_size=1 << 18, thread_count=workers)
+        save_checkpoints(str(p), accumulate(cfg))
+        files.append(p.read_bytes())
+    assert files[0] == files[1]
+
+
 def test_segment_size_independence():
     a = accumulate(EngineConfig(limit=5000, segment_size=64))
     b = accumulate(EngineConfig(limit=5000, segment_size=4096))
