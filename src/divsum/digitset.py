@@ -13,7 +13,7 @@ one-row views.  A row whose high part h shows a 0 or 5 lies wholly in A;
 the others take each cell's class from a table over the four zero-padded
 low digits r (over r itself, unpadded, when h = 0).  One einsum with the
 table's stacked 0/1 weights gives every row's sums over A and over its
-complement.
+complement; a view whose rows all lie in A takes plain row sums instead.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def _digit_tables() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     unpadded = np.any([hit & (r >= 10**i) for i, hit in enumerate(hits)], axis=0)
     tables = []
     for in_a in (padded, unpadded):
-        weights = np.stack((in_a, ~in_a)).astype(np.int64)
+        weights = np.stack((in_a, ~in_a)).astype(np.int32)
         prefix = np.concatenate(([0], np.cumsum(weights[1])))
         for table in (weights, prefix):
             table.flags.writeable = False
@@ -88,10 +88,7 @@ class DigitMultiset:
     @classmethod
     def of_int(cls, n: int) -> "DigitMultiset":
         s = str(n)
-        counts = [0] * 10
-        for ch in s:
-            counts[ord(ch) - 48] += 1
-        return cls(tuple(counts), len(s))
+        return cls(tuple(map(s.count, "0123456789")), len(s))
 
 
 def _check_range(n: int, upper: int, what: str) -> None:
@@ -120,7 +117,7 @@ def class_sums(lo: int, num: np.ndarray) -> tuple[int, int, int, int]:
     S_A sums num over A, S_B over A less the multiples of 5, T_nonA over
     the complement of A, and count_nonA counts that complement.  S_A and
     T_nonA are separate reductions, so S = S_A + T_nonA stays a check on
-    the weights.  The caller keeps every partial sum of num inside int64.
+    the weights.  A row sums in num's dtype: 10^4 int32 cells stay below 2^31.
     """
     if lo < 1:
         raise ValueError(f"class_sums is defined for lo >= 1 (got {lo})")
@@ -133,8 +130,11 @@ def class_sums(lo: int, num: np.ndarray) -> tuple[int, int, int, int]:
         h, r = divmod(start, _BLOCK)  # rows[i, j] holds n = (h + i) 10^4 + r + j
         weights, prefix = _digit_tables()[h == 0]  # h = 0 only in the one-row head
         end = r + rows.shape[1]
-        in_a, non_a = np.einsum("ij,kj->ki", rows, weights[:, r:end])
         mix = mixed[h - lo // _BLOCK :][: len(rows)]
+        if not mix.any():  # wholly in A: row sums in num's dtype, as the einsum's
+            s_a += int(rows.sum(axis=1, dtype=rows.dtype).sum())
+            continue
+        in_a, non_a = np.einsum("ij,kj->ki", rows, weights[:, r:end])
         s_a += int(in_a.sum()) + int(non_a[~mix].sum())
         t_non += int(non_a[mix].sum())
         count += int(mix.sum()) * int(prefix[end] - prefix[r])

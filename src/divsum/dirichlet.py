@@ -28,11 +28,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, mpf
 
-from .multiplicative import (
-    SCALE_EXP,
-    sieve_segment,
-    twisted_ratio_numerators,
-)
+from .multiplicative import CELL_EXP, sieve_segment, twisted_ratio_numerators
 from .primes import is_prime, prime_blocks, primes_upto
 
 DEFAULT_PRIME_LIMIT = 10**8  # flagship truncation for the s=1 constants
@@ -249,7 +245,7 @@ def dirichlet_lhs(q_list, s_grid, terms: int) -> dict[tuple[int, float], tuple[f
     value = dict.fromkeys(itertools.product(q_list, s_grid), 0.0)
     for q, s in value:
         _check_lhs(q, s, terms)
-    scale = 2.0**-SCALE_EXP
+    scale = 2.0**-CELL_EXP
     for lo in range(1, terms + 1, LHS_CHUNK):
         hi = min(lo + LHS_CHUNK, terms + 1)
         num = sieve_segment(lo, hi)

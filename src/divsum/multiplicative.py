@@ -5,8 +5,9 @@ value for n < 2^64 is a dyadic rational with denominator at most 2^15.  All
 sums of ratios are therefore accumulated exactly as integers at a fixed
 power-of-two scale (SCALE_EXP), which keeps parallel reductions
 order-independent and bit-for-bit reproducible.  The segmented sieve (wheel
-tile, strides up to top^(1/4), vector steps above) yields those scaled
-numerators; d(n) and omega(n) are computed only per n, by factorize and the oracle.
+tile, strides up to top^(1/4), vector steps above) yields int32 cells
+ratio(n) * 2^CELL_EXP, which a left shift by CELL_SHIFT takes to that scale;
+d(n) and omega(n) are computed only per n, by factorize and the oracle.
 """
 
 from __future__ import annotations
@@ -24,9 +25,14 @@ from .primes import is_prime, primes_upto
 SCALE_EXP = 32
 MAX_FACTORIZE = 1 << 63
 MAX_SIEVE_VALUE = 1 << 40
-MAX_SEGMENT_CELLS = 1 << 26  # memory budget for one dense segment
-WHEEL = {2: 5, 3: 3, 5: 2}  # sieve_segment copies the levels p^2..p^e from one tile
-WHEEL_PERIOD = prod(p**e for p, e in WHEEL.items())  # 21600 cells, 169 KiB
+# below 2^40 at most 7 primes have p^2 | n, as (2*3*...*19)^2 > 2^40, so
+# ratio(n) * 2^7 is an integer; it is at most MAX_CELL, at 2^11 3^7 5^4 7^3
+CELL_EXP = 7
+CELL_SHIFT = SCALE_EXP - CELL_EXP
+MAX_CELL = 120 << CELL_EXP
+MAX_SEGMENT_CELLS = 1 << 26  # memory budget for one dense segment; its sum < 2^26 MAX_CELL < 2^40
+WHEEL = {2: 6, 3: 3, 5: 2}  # sieve_segment copies the levels p^2..p^e from one tile
+WHEEL_PERIOD = prod(p**e for p, e in WHEEL.items())  # 43200 cells, 169 KiB
 BRUTE_FORCE_LIMIT = 10**7
 
 # ordered (prime, exponent) pairs; primes strictly increasing, exponents >= 1
@@ -93,10 +99,7 @@ def factorize(n: int) -> Factorization:
 
 
 def divisor_count(factors: Factorization) -> int:
-    d = 1
-    for _, e in factors:
-        d *= e + 1
-    return d
+    return prod(e + 1 for _, e in factors)
 
 
 def unitary_divisor_count(factors: Factorization) -> int:
@@ -151,23 +154,31 @@ def _stride_levels(num: np.ndarray, lo: int, top: int, p: int, e: int) -> None:
 
 @cache
 def _wheel_tile() -> np.ndarray:
-    """Read-only numerators of the WHEEL levels alone; cell i stands for n = i."""
-    tile = np.full(WHEEL_PERIOD, 1 << SCALE_EXP, dtype=np.int64)
+    """Read-only cells of the WHEEL levels alone; cell i stands for n = i."""
+    tile = np.full(WHEEL_PERIOD, 1 << CELL_EXP, dtype=np.int32)
     for p, e in WHEEL.items():
         _stride_levels(tile, 0, p**e, p, 2)
     tile.flags.writeable = False
     return tile
 
 
+@cache
+def _base_primes(bits: int) -> np.ndarray:
+    """Read-only primes up to 2^bits, shared by the segments whose isqrt(top) they cover."""
+    (primes := primes_upto(1 << bits)).flags.writeable = False
+    return primes
+
+
 def sieve_segment(lo: int, hi: int) -> np.ndarray:
-    """Scaled ratio numerators ratio(n) * 2^SCALE_EXP for all n in [lo, hi).
+    """int32 cells ratio(n) * 2^CELL_EXP for all n in [lo, hi).
 
     Only the levels p^k, k >= 2, change a cell (the ratio is 1 at primes): a
-    cell divisible by p^k moves its p-factor from k/2 to (k+1)/2, exact as k
-    divides d(n).  The cached tile gives the WHEEL levels; the higher levels of
-    the WHEEL primes and all primes up to top^(1/4) (top = hi - 1) are strided;
-    each level of the rest is one fancy-index step over all their hits, exact as
-    no two share a cell (p1^2 p2^2 > top).  Raises if the sum could overflow int64.
+    cell divisible by p^k moves its p-factor from k/2 to (k+1)/2, exact as the
+    cell is k times R 2^(CELL_EXP-1), R the factors of at most 6 other primes.
+    The cached tile gives the WHEEL levels; the higher levels of the WHEEL
+    primes and all primes up to top^(1/4) (top = hi - 1) are strided; each
+    level of the rest is one fancy-index step over all their hits, exact as
+    no two share a cell (p1^2 p2^2 > top).
     """
     if not (1 <= lo <= hi):
         raise ValueError(f"need 1 <= lo <= hi (got [{lo}, {hi}))")
@@ -175,19 +186,17 @@ def sieve_segment(lo: int, hi: int) -> np.ndarray:
         raise ValueError(f"sieve_segment supports hi <= 2^40 (got {hi})")
     size = hi - lo
     if size > MAX_SEGMENT_CELLS:
-        raise MemoryError(
-            f"segment of {size} cells exceeds budget {MAX_SEGMENT_CELLS}"
-        )
+        raise MemoryError(f"segment of {size} cells exceeds budget {MAX_SEGMENT_CELLS}")
     skip = lo % WHEEL_PERIOD  # the tile, broadcast over whole periods from lo - skip
-    num = np.empty(((skip + size) // WHEEL_PERIOD + 1, WHEEL_PERIOD), dtype=np.int64)
+    num = np.empty(((skip + size) // WHEEL_PERIOD + 1, WHEEL_PERIOD), dtype=np.int32)
     num[:] = _wheel_tile()  # one copy that releases the interpreter lock, unlike np.tile
     num = num.reshape(-1)[skip : skip + size]
     top = hi - 1
-    primes = primes_upto(isqrt(top))
-    split = int(np.searchsorted(primes, max(isqrt(isqrt(top)), max(WHEEL)), side="right"))
+    primes = _base_primes((root := isqrt(top)).bit_length())
+    split, end = np.searchsorted(primes, (max(isqrt(root), max(WHEEL)), root), side="right")
     for p in primes[:split].tolist():
         _stride_levels(num, lo, top, p, WHEEL.get(p, 1) + 1)
-    p, e = primes[split:], 2
+    p, e = primes[split:end], 2
     while p.size:
         start = (-lo) % (pe := p**e)
         hits = (size - start + pe - 1) // pe  # the cells start + j p^e below size
@@ -195,19 +204,17 @@ def sieve_segment(lo: int, hi: int) -> np.ndarray:
         at = np.repeat(start, hits) + j * np.repeat(pe, hits)
         num[at] = num[at] // e * (e + 1)
         p, e = p[p ** (e + 1) <= top], e + 1
-    if size and int(num.max()) * size >= 1 << 63:
-        raise OverflowError("segment sum would overflow int64")
     return num
 
 
 def twisted_ratio_numerators(q: int, lo: int, num: np.ndarray) -> np.ndarray:
-    """Scaled numerators of the ratio at q*n for n = lo .. lo+len(num)-1.
+    """Cells of the ratio at q*n for n = lo .. lo+len(num)-1, at scale 2^CELL_EXP.
 
-    num holds the numerators of the ratio at n itself (sieve_segment of the
+    num holds the cells of the ratio at n itself (sieve_segment of the
     segment starting at lo).  For q prime and a = v_q(n): when a = 0,
     q adds one prime to both d and 2^omega, so ratio(qn) = ratio(n); when
-    a >= 1, ratio(qn) = ratio(n) * (a+2)/(a+1), exact because (a+1) divides
-    d(n).  q = 1 returns num unchanged.
+    a >= 1, ratio(qn) = ratio(n) * (a+2)/(a+1), exact because the cell is
+    (a+1) times R 2^(CELL_EXP-1), as in sieve_segment.  q = 1 returns num.
     """
     if q != 1 and not is_prime(q):
         raise ValueError(f"q must be 1 or prime (got {q})")
@@ -219,9 +226,4 @@ def twisted_ratio_numerators(q: int, lo: int, num: np.ndarray) -> np.ndarray:
     while qk <= top:
         a[(-lo) % qk :: qk] += 1
         qk *= q
-    hit = a > 0
-    out = num.copy()
-    out[hit] = num[hit] // (a[hit] + 1) * (a[hit] + 2)
-    if int(out.max()) * out.size >= 1 << 63:
-        raise OverflowError("segment sum would overflow int64")
-    return out
+    return np.where(a > 0, num // (a + 1) * (a + 2), num)

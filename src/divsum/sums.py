@@ -3,9 +3,10 @@
 One sieve pass over (x0, limit] accumulates, as exact scaled integers, the
 total sum S, the restricted sums S_A / S_B, the complement sum T_nonA, the
 complement count and, for each q, the twisted series sum_{n<=m} ratio(q n).
-Per segment digitset.class_sums reduces the sieved numerators over the
-digit classes, and running slice sums give S at every stop inside it.  The
-twisted series needs nothing more: the Euler factor at q gives
+Per segment digitset.class_sums reduces the sieved int32 cells over the
+digit classes, and running slice sums give S at every stop inside it; each
+sum shifts left by CELL_SHIFT to SCALE_EXP.  The twisted series needs
+nothing more: the Euler factor at q gives
 sum ratio(q n) n^-s = E(q^-s) sum ratio(n) n^-s with
 E(y) = (1 - y/2)/(1 - y + y^2/2) = sum_k e_k y^k, so
 sum_{n<=m} ratio(q n) = sum_k e_k S(m // q^k), combined in integers at
@@ -25,13 +26,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
 
+import numpy as np
+
 from . import digitset
-from .multiplicative import (
-    MAX_SEGMENT_CELLS,
-    SCALE_EXP,
-    DyadicValue,
-    sieve_segment,
-)
+from .multiplicative import CELL_SHIFT, MAX_CELL, MAX_SEGMENT_CELLS, SCALE_EXP, DyadicValue, sieve_segment
 from .primes import is_prime
 
 MAX_LIMIT = 10**9
@@ -123,16 +121,19 @@ def checkpoint_schedule(limit: int, refine_factor2: bool = True) -> list[int]:
     return sorted(points)
 
 
+def _cell_sum(cells) -> int:
+    """Exact sum of int32 cells, from int32 partial sums that stay below 2^31."""
+    return int(np.add.reduceat(cells, range(0, cells.size, (1 << 31) // MAX_CELL), dtype=np.int32).sum())
+
+
 def _segment_class_sums(args) -> tuple[int, ...]:
     """Core numerator sums over [lo, hi) (class sums 0 without classes), then S over [lo, m] per stop m."""
     lo, hi, stops, classes = args
     num = sieve_segment(lo, hi)
-    upto, run, at = [], 0, 0
-    for m in stops:  # running slice sums: each cell is read once
-        run += int(num[at : m - lo + 1].sum())
-        upto.append(run)
-        at = m - lo + 1
-    return (run + int(num[at:].sum()), *(digitset.class_sums(lo, num) if classes else (0,) * 4), *upto)
+    cuts = [0, *(m - lo + 1 for m in stops), hi - lo]  # running slice sums: each cell is read once
+    *upto, total = np.cumsum([_cell_sum(num[a:b]) for a, b in zip(cuts, cuts[1:])]).tolist()
+    s_a, s_b, t_non, count = digitset.class_sums(lo, num) if classes else (0,) * 4
+    return (*(v << CELL_SHIFT for v in (total, s_a, s_b, t_non)), count, *(v << CELL_SHIFT for v in upto))
 
 
 def _pass(bounds, stops, segment_size: int, map_fn=map, totals=(0,) * 5, classes=True):
@@ -322,9 +323,7 @@ def load_checkpoints(path: str) -> list[Checkpoint]:
         except ValueError:
             raise CheckpointFormatError(f"{path}: line {i}: non-integer field") from None
         if scale != SCALE_EXP:
-            raise CheckpointFormatError(
-                f"{path}: line {i}: scale_exp {scale} != engine scale {SCALE_EXP}"
-            )
+            raise CheckpointFormatError(f"{path}: line {i}: scale_exp {scale} != engine scale {SCALE_EXP}")
         rec = by_x.setdefault(x, {"core": core, "twisted": {}})
         if rec["core"] != core:
             raise CheckpointFormatError(f"{path}: line {i}: inconsistent sums for x={x}")

@@ -141,6 +141,17 @@ def test_verify_local_refuses_oversize_samples_before_grid(capsys, monkeypatch):
     assert err.startswith("error:") and "--samples" in err
 
 
+@pytest.mark.parametrize("grid", ["inf", "1,-inf", "nan", "2,0.5", "0.4"])
+def test_verify_local_checks_s_grid_before_any_row(capsys, monkeypatch, grid):
+    def no_row(p, s):
+        raise AssertionError("computed a row before the whole grid was checked")
+
+    monkeypatch.setattr(dirichlet, "local_factor_residual", no_row)
+    code, out, err = run_cli(capsys, "verify-local", "--s-grid", grid)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --s-grid") and "finite and exceed 1/2" in err
+
+
 def test_verify_local_with_samples_seeded(capsys):
     code1, out1, _ = run_cli(
         capsys, "verify-local", "--p-max", "10", "--samples", "20", "--seed", "123"

@@ -17,6 +17,7 @@ from divsum.digitset import (
     non_a_bound,
     permutation_witness,
 )
+from divsum.multiplicative import MAX_CELL
 
 
 def brute_witness(n):
@@ -246,6 +247,19 @@ def test_high_part_flag_matches_str_below_10_6():
     want = [True] + [NON_A_DIGITS.issuperset(str(v)) for v in range(1, 10**6)]
     assert _has_no_0_or_5(h).tolist() == want
     assert _has_no_0_or_5(h[:0]).size == 0
+
+
+def test_class_sums_of_largest_int32_cells_are_exact():
+    # rows wholly in A (near 2e7), mixed rows (below 1e9) and the first block:
+    # every row of the largest cells sums inside int32
+    size = (1 << 20) + 7
+    cells = np.full(size, MAX_CELL, dtype=np.int32)
+    for lo in (2 * 10**7 + 1, 10**9 - (1 << 20), 1):
+        hi = lo + size
+        non_a = count_non_a(hi - 1) - count_non_a(lo - 1)
+        fives = (hi - 1) // 5 - (lo - 1) // 5
+        want = (size - non_a) * MAX_CELL, (size - non_a - fives) * MAX_CELL, non_a * MAX_CELL, non_a
+        assert class_sums(lo, cells) == want, lo
 
 
 def test_class_sums_rejects_lo_below_1():

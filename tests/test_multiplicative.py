@@ -10,6 +10,11 @@ from hypothesis import strategies as st
 
 from divsum import multiplicative
 from divsum.multiplicative import (
+    CELL_EXP,
+    CELL_SHIFT,
+    MAX_CELL,
+    MAX_SEGMENT_CELLS,
+    MAX_SIEVE_VALUE,
     SCALE_EXP,
     WHEEL_PERIOD,
     DyadicValue,
@@ -141,9 +146,15 @@ def test_dyadic_arithmetic():
         DyadicValue.from_ratio(1, SCALE_EXP + 1)
 
 
+def _numerators(cells: np.ndarray) -> np.ndarray:
+    """int32 cells at scale 2^CELL_EXP as int64 numerators at scale 2^SCALE_EXP."""
+    assert cells.dtype == np.int32
+    return cells.astype(np.int64) << CELL_SHIFT
+
+
 def _sieve_ratios(lo: int, hi: int) -> list[DyadicValue]:
-    nums = sieve_segment(lo, hi)
-    assert nums.dtype == np.int64 and nums.size == hi - lo
+    nums = _numerators(sieve_segment(lo, hi))
+    assert nums.size == hi - lo
     return [DyadicValue(int(v)) for v in nums]
 
 
@@ -197,6 +208,31 @@ def test_sieve_rejects():
         sieve_segment(1, (1 << 40) + 1)
 
 
+def test_int32_cells_are_exact_below_2_40():
+    # the ratio depends on the exponents alone, and the smallest n with a
+    # given exponent multiset puts them non-increasing on 2, 3, 5, ...; so a
+    # DFS over those patterns below 2^40 meets every ratio that occurs there
+    primes = [int(p) for p in primes_upto(50)]
+    seen = []
+
+    def dfs(i, n, cap, ratio):
+        seen.append((ratio, n))
+        m, e = n * primes[i], 1
+        while e <= cap and m < MAX_SIEVE_VALUE:
+            dfs(i + 1, m, e, ratio * Fraction(e + 1, 2))
+            m, e = m * primes[i], e + 1
+
+    dfs(0, 1, MAX_SIEVE_VALUE.bit_length(), Fraction(1))
+    assert max(ratio for ratio, _ in seen) == 120
+    assert (120, 960180480000) in seen and 960180480000 == 2**11 * 3**7 * 5**4 * 7**3
+    assert max(ratio.denominator for ratio, _ in seen) == 1 << CELL_EXP == 128
+    assert MAX_CELL == 120 << CELL_EXP == 15360
+    assert sieve_segment(960180480000, 960180480001).tolist() == [15360]
+    assert sieve_segment(510510**2, 510510**2 + 1).tolist() == [2187]  # (3/2)^7 2^7
+    assert MAX_SEGMENT_CELLS * 15360 < 1 << 63
+    assert (1 << 31) // MAX_CELL * MAX_CELL < 1 << 31  # the int32 partial sums of sums._cell_sum
+
+
 def _reference_sieve(lo: int, hi: int) -> np.ndarray:
     """Reference: every cell starts at 2^SCALE_EXP and every level p^(k+1) <= hi-1 is strided."""
     num = np.full(hi - lo, 1 << SCALE_EXP, dtype=np.int64)
@@ -214,8 +250,8 @@ def _reference_sieve(lo: int, hi: int) -> np.ndarray:
 
 
 def _assert_matches_reference(lo: int, hi: int) -> None:
-    got, want = sieve_segment(lo, hi), _reference_sieve(lo, hi)
-    assert got.dtype == np.int64 and got.shape == want.shape
+    got, want = _numerators(sieve_segment(lo, hi)), _reference_sieve(lo, hi)
+    assert got.shape == want.shape
     assert np.array_equal(got, want), (lo, hi)
 
 
@@ -275,7 +311,7 @@ def test_sieve_matches_reference_where_two_prime_squares_meet():
         assert n < 1 << 40
         for lo, hi in ((n - 1000, n + 1000), (n, n + 1)):
             _assert_matches_reference(lo, hi)
-        assert DyadicValue(int(sieve_segment(n, n + 1)[0])) == divisor_ratio(n)
+        assert _sieve_ratios(n, n + 1) == [divisor_ratio(n)]
 
 
 @st.composite
@@ -297,7 +333,7 @@ def test_sieve_returns_fresh_writeable_arrays():
         first = sieve_segment(lo, hi)
         assert first.flags.writeable and not np.shares_memory(first, tile)
         first[:] = -1
-        assert np.array_equal(sieve_segment(lo, hi), _reference_sieve(lo, hi))
+        assert np.array_equal(_numerators(sieve_segment(lo, hi)), _reference_sieve(lo, hi))
 
 
 def test_sieve_concurrent_mixed_windows():
@@ -305,6 +341,7 @@ def test_sieve_concurrent_mixed_windows():
                (10**9, 10**9 + 5000), ((1 << 40) - 9000, 1 << 40), (7, 7), (12345, 12346)] * 4
     serial = [sieve_segment(lo, hi) for lo, hi in windows]
     multiplicative._wheel_tile.cache_clear()  # the threads race to build the tile
+    multiplicative._base_primes.cache_clear()  # and the base primes
     with ThreadPoolExecutor(4) as pool:
         got = list(pool.map(lambda w: sieve_segment(*w), windows))
     for window, want, arr in zip(windows, serial, got):
@@ -312,7 +349,7 @@ def test_sieve_concurrent_mixed_windows():
 
 
 def test_segment_numerators_match_pointwise():
-    nums = sieve_segment(100, 600)
+    nums = _numerators(sieve_segment(100, 600))
     for i in (0, 7, 499):
         assert DyadicValue(int(nums[i])) == divisor_ratio(100 + i)
 
@@ -321,7 +358,7 @@ def test_twisted_ratio_numerators():
     got = []
     for lo, hi in ((1, 65), (65, 124)):  # two segments, as the engine chunks them
         nums = sieve_segment(lo, hi)
-        got.extend(int(v) for v in twisted_ratio_numerators(5, lo, nums))
+        got.extend(int(v) for v in _numerators(twisted_ratio_numerators(5, lo, nums)))
     assert len(got) == 123
     for i, v in enumerate(got, start=1):
         assert DyadicValue(v) == divisor_ratio(5 * i), i
@@ -374,17 +411,18 @@ def _twisted_windows(draw):
 @given(_twisted_windows())
 def test_twisted_ratio_sum_matches_numerators(window):
     q, lo, hi = window
-    nums = sieve_segment(lo, hi)
+    cells = sieve_segment(lo, hi)
+    nums = _numerators(cells)
     got = int(nums.sum()) + _reference_twisted_gain(q, lo, nums)
-    assert got == int(twisted_ratio_numerators(q, lo, nums).sum())
+    assert got == int(_numerators(twisted_ratio_numerators(q, lo, cells)).sum())
 
 
 def test_twisted_ratio_sum_examples():
-    nums = sieve_segment(1, 1025)  # every level of q = 2 up to 2^10
+    nums = _numerators(sieve_segment(1, 1025))  # every level of q = 2 up to 2^10
     for q in (1, 2, 3, 5, 7, 11, 13):
         expected = sum(divisor_ratio(q * n).numerator for n in range(1, 1025))
         assert int(nums.sum()) + _reference_twisted_gain(q, 1, nums) == expected, q
-    assert _reference_twisted_gain(7, 10**6, sieve_segment(10**6, 10**6)) == 0
+    assert _reference_twisted_gain(7, 10**6, _numerators(sieve_segment(10**6, 10**6))) == 0
     with pytest.raises(ValueError):
         _reference_twisted_gain(4, 1, nums)
     # a numerator that d(n) cannot produce leaves a remainder
@@ -397,7 +435,7 @@ def test_twisted_sum_matches_reference_gain_at_1e7():
     limit, size = 10**7, 1 << 20
     want = dict.fromkeys((2, 3, 5, 7), 0)
     for lo in range(1, limit + 1, size):
-        num = sieve_segment(lo, min(lo + size, limit + 1))
+        num = _numerators(sieve_segment(lo, min(lo + size, limit + 1)))
         for q in want:
             want[q] += int(num.sum()) + _reference_twisted_gain(q, lo, num)
     for q, value in want.items():

@@ -4,12 +4,13 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divsum import digitset
-from divsum.multiplicative import MAX_SEGMENT_CELLS, DyadicValue, divisor_ratio, divisor_ratio_brute
+from divsum.multiplicative import MAX_CELL, MAX_SEGMENT_CELLS, DyadicValue, divisor_ratio, divisor_ratio_brute
 from divsum.primes import is_prime
 from divsum.sums import (
     CheckpointFormatError,
@@ -19,6 +20,7 @@ from divsum.sums import (
     MAX_THREADS,
     TWIST_SHIFT,
     TWISTED_VALUE_BUDGET,
+    _cell_sum,
     _twist_stops,
     _twist_weights,
     _twisted_value,
@@ -427,3 +429,11 @@ def test_twisted_stops_and_resume_match_brute_force(qs, limit, segment_size, thr
             for m, value in cp.twisted[q].items():
                 assert value.numerator == want[m], (q, cp.x, m)
         assert twisted_sum(q, limit, segment_size).numerator == want[limit]
+
+
+def test_cell_sum_is_exact_for_the_largest_cells():
+    piece = (1 << 31) // MAX_CELL  # cells per int32 partial sum
+    cells = np.full(1 << 22, MAX_CELL, dtype=np.int32)
+    for size in (0, 1, piece - 1, piece, piece + 1, 3 * piece + 5, 1 << 22):
+        assert _cell_sum(cells[:size]) == size * MAX_CELL, size
+    assert _cell_sum(cells[3::5]) == len(cells[3::5]) * MAX_CELL
