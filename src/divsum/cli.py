@@ -315,8 +315,7 @@ def _cmd_verify_local(args) -> int:
         raise ValueError(f"--p-max must be at most {LOCAL_P_MAX_CAP} (got {args.p_max})")
     if args.samples > LOCAL_SAMPLES_CAP:
         raise ValueError(f"--samples must be at most {LOCAL_SAMPLES_CAP} (got {args.samples})")
-    if bad := [s for s in args.s_grid if not 0.5 < s < math.inf]:  # all of the grid, before its first row
-        raise ValueError(f"--s-grid values must be finite and exceed 1/2 (got {bad[0]})")
+    dirichlet.check_local_grid(args.s_grid, "--s-grid")  # all of the grid, before its first row
     grid = [(int(p), s) for p in primes_upto(args.p_max) for s in args.s_grid]
     if args.samples:
         rng = random.Random(args.seed)

@@ -13,7 +13,7 @@ one-row views.  A row whose high part h shows a 0 or 5 lies wholly in A;
 the others take each cell's class from a table over the four zero-padded
 low digits r (over r itself, unpadded, when h = 0).  One einsum with the
 table's stacked 0/1 weights gives every row's sums over A and over its
-complement; a view whose rows all lie in A takes plain row sums instead.
+complement.
 """
 
 from __future__ import annotations
@@ -88,7 +88,10 @@ class DigitMultiset:
     @classmethod
     def of_int(cls, n: int) -> "DigitMultiset":
         s = str(n)
-        return cls(tuple(map(s.count, "0123456789")), len(s))
+        counts = [0] * 10
+        for ch in s:
+            counts[ord(ch) - 48] += 1
+        return cls(tuple(counts), len(s))
 
 
 def _check_range(n: int, upper: int, what: str) -> None:
@@ -130,11 +133,8 @@ def class_sums(lo: int, num: np.ndarray) -> tuple[int, int, int, int]:
         h, r = divmod(start, _BLOCK)  # rows[i, j] holds n = (h + i) 10^4 + r + j
         weights, prefix = _digit_tables()[h == 0]  # h = 0 only in the one-row head
         end = r + rows.shape[1]
-        mix = mixed[h - lo // _BLOCK :][: len(rows)]
-        if not mix.any():  # wholly in A: row sums in num's dtype, as the einsum's
-            s_a += int(rows.sum(axis=1, dtype=rows.dtype).sum())
-            continue
         in_a, non_a = np.einsum("ij,kj->ki", rows, weights[:, r:end])
+        mix = mixed[h - lo // _BLOCK :][: len(rows)]
         s_a += int(in_a.sum()) + int(non_a[~mix].sum())
         t_non += int(non_a[mix].sum())
         count += int(mix.sum()) * int(prefix[end] - prefix[r])

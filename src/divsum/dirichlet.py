@@ -28,7 +28,11 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, mpf
 
-from .multiplicative import CELL_EXP, sieve_segment, twisted_ratio_numerators
+from .multiplicative import (
+    CELL_EXP,
+    sieve_segment,
+    twisted_ratio_numerators,
+)
 from .primes import is_prime, prime_blocks, primes_upto
 
 DEFAULT_PRIME_LIMIT = 10**8  # flagship truncation for the s=1 constants
@@ -135,6 +139,12 @@ def euler_product_C(s: float, prime_limit: int) -> ProductEstimate:
     )
 
 
+def check_local_grid(s_grid, name: str = "s") -> None:
+    """Raise unless every s in s_grid is finite and exceeds 1/2, the domain of local_factor_residual."""
+    if bad := [s for s in s_grid if not 0.5 < s < math.inf]:
+        raise ValueError(f"{name} must be finite and exceed 1/2 (got {bad[0]})")
+
+
 def local_factor_residual(p: int, s: float) -> float:
     """|closed form of 1 + sum_k ratio(p^k) x^k  -  factorized local term|.
 
@@ -144,8 +154,7 @@ def local_factor_residual(p: int, s: float) -> float:
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime (got {p})")
-    if not s > 0.5:
-        raise ValueError(f"s must exceed 1/2 (got {s})")
+    check_local_grid((s,))
     x = float(p) ** (-s)
     lhs = (2.0 - 2.0 * x + x * x) / (2.0 * (1.0 - x) ** 2)
     rhs = (1.0 - x * x / 2.0 + x * x * x / 2.0) / ((1.0 - x) * (1.0 - x * x))

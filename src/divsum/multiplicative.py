@@ -31,8 +31,8 @@ CELL_EXP = 7
 CELL_SHIFT = SCALE_EXP - CELL_EXP
 MAX_CELL = 120 << CELL_EXP
 MAX_SEGMENT_CELLS = 1 << 26  # memory budget for one dense segment; its sum < 2^26 MAX_CELL < 2^40
-WHEEL = {2: 6, 3: 3, 5: 2}  # sieve_segment copies the levels p^2..p^e from one tile
-WHEEL_PERIOD = prod(p**e for p, e in WHEEL.items())  # 43200 cells, 169 KiB
+WHEEL = {2: 5, 3: 3, 5: 2}  # sieve_segment copies the levels p^2..p^e from one tile
+WHEEL_PERIOD = prod(p**e for p, e in WHEEL.items())  # 21600 cells, 84 KiB
 BRUTE_FORCE_LIMIT = 10**7
 
 # ordered (prime, exponent) pairs; primes strictly increasing, exponents >= 1
@@ -99,7 +99,10 @@ def factorize(n: int) -> Factorization:
 
 
 def divisor_count(factors: Factorization) -> int:
-    return prod(e + 1 for _, e in factors)
+    d = 1
+    for _, e in factors:
+        d *= e + 1
+    return d
 
 
 def unitary_divisor_count(factors: Factorization) -> int:
@@ -186,7 +189,9 @@ def sieve_segment(lo: int, hi: int) -> np.ndarray:
         raise ValueError(f"sieve_segment supports hi <= 2^40 (got {hi})")
     size = hi - lo
     if size > MAX_SEGMENT_CELLS:
-        raise MemoryError(f"segment of {size} cells exceeds budget {MAX_SEGMENT_CELLS}")
+        raise MemoryError(
+            f"segment of {size} cells exceeds budget {MAX_SEGMENT_CELLS}"
+        )
     skip = lo % WHEEL_PERIOD  # the tile, broadcast over whole periods from lo - skip
     num = np.empty(((skip + size) // WHEEL_PERIOD + 1, WHEEL_PERIOD), dtype=np.int32)
     num[:] = _wheel_tile()  # one copy that releases the interpreter lock, unlike np.tile

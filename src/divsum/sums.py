@@ -29,7 +29,14 @@ from functools import cache
 import numpy as np
 
 from . import digitset
-from .multiplicative import CELL_SHIFT, MAX_CELL, MAX_SEGMENT_CELLS, SCALE_EXP, DyadicValue, sieve_segment
+from .multiplicative import (
+    CELL_SHIFT,
+    MAX_CELL,
+    MAX_SEGMENT_CELLS,
+    SCALE_EXP,
+    DyadicValue,
+    sieve_segment,
+)
 from .primes import is_prime
 
 MAX_LIMIT = 10**9
@@ -323,7 +330,9 @@ def load_checkpoints(path: str) -> list[Checkpoint]:
         except ValueError:
             raise CheckpointFormatError(f"{path}: line {i}: non-integer field") from None
         if scale != SCALE_EXP:
-            raise CheckpointFormatError(f"{path}: line {i}: scale_exp {scale} != engine scale {SCALE_EXP}")
+            raise CheckpointFormatError(
+                f"{path}: line {i}: scale_exp {scale} != engine scale {SCALE_EXP}"
+            )
         rec = by_x.setdefault(x, {"core": core, "twisted": {}})
         if rec["core"] != core:
             raise CheckpointFormatError(f"{path}: line {i}: inconsistent sums for x={x}")

@@ -149,6 +149,8 @@ def test_local_factor_rejects():
         local_factor_residual(4, 1.0)
     with pytest.raises(ValueError):
         local_factor_residual(3, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        local_factor_residual(3, math.inf)
 
 
 def test_lemma_coefficient_values():
