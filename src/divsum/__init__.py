@@ -9,7 +9,6 @@ from .digitset import (
     permutation_witness,
 )
 from .dirichlet import (
-    CoefficientQ,
     ProductEstimate,
     dirichlet_lhs,
     dirichlet_rhs,

@@ -98,13 +98,9 @@ def corrected_theorem_rows(
     Adding back T_nonA cancels the dominant x^0.903 complement term and
     exposes the square-root-type remainder of the underlying sums.
     """
-    if not checkpoints:
-        raise ValueError("need at least one checkpoint")
-    rows = []
-    for cp in sorted(checkpoints, key=lambda c: c.x):
-        value = cp.S_B.to_float() + cp.T_nonA.to_float()
-        rows.append(_row(cp.x, value, theorem_slope))
-    return rows
+    s_b = quantity_values(checkpoints, "S_B")
+    t_non_a = quantity_values(checkpoints, "T_nonA")
+    return [_row(x, b + t, theorem_slope) for (x, b), (_, t) in zip(s_b, t_non_a)]
 
 
 def fit_error_exponent(points) -> FitReport:

@@ -22,7 +22,7 @@ import sys
 
 from . import analysis, digitset, dirichlet, sums
 from .multiplicative import SCALE_EXP
-from .primes import primes_upto
+from .primes import DEFAULT_Q, primes_upto
 
 ENV_PREFIX = "DIVSUM_"
 
@@ -72,10 +72,10 @@ def _parse_format(text: str) -> str:
 # shared flag -> add_argument kwargs, in --help order
 FLAGS = {
     "limit": {"type": parse_count, "default": 10**6},
-    "segment-size": {"type": parse_count, "default": 1 << 20},
+    "segment-size": {"type": parse_count, "default": sums.DEFAULT_SEGMENT_SIZE},
     "threads": {"type": parse_count, "default": 1},
     "prime-limit": {"type": parse_count, "default": dirichlet.DEFAULT_PRIME_LIMIT},
-    "q": {"type": _parse_q_list, "default": "1,2,3,5,7"},
+    "q": {"type": _parse_q_list, "default": DEFAULT_Q},
     "checkpoints": {"default": "checkpoints.csv"},
     "out": {"default": None},
     "format": {"type": _parse_format, "metavar": "{csv,json}", "default": "json"},
@@ -313,8 +313,8 @@ def _cmd_verify_dirichlet(args) -> int:
 def _cmd_verify_local(args) -> int:
     if args.p_max > LOCAL_P_MAX_CAP:
         raise ValueError(f"--p-max must be at most {LOCAL_P_MAX_CAP} (got {args.p_max})")
-    if args.samples > LOCAL_SAMPLES_CAP:
-        raise ValueError(f"--samples must be at most {LOCAL_SAMPLES_CAP} (got {args.samples})")
+    if not 0 <= args.samples <= LOCAL_SAMPLES_CAP:
+        raise ValueError(f"--samples must be in [0, {LOCAL_SAMPLES_CAP}] (got {args.samples})")
     dirichlet.check_local_grid(args.s_grid, "--s-grid")  # all of the grid, before its first row
     grid = [(int(p), s) for p in primes_upto(args.p_max) for s in args.s_grid]
     if args.samples:
@@ -356,11 +356,8 @@ def _cmd_fit(args) -> int:
     # a quantity the CSV lacks fails here, before the Euler product runs
     analysis.quantity_values(checkpoints, quantity, q)
     if slope is None:
-        c1 = dirichlet.euler_product_C(1.0, args.prime_limit)
-        if quantity == "S_B":
-            slope = dirichlet.theorem_constant(c1)
-        else:
-            slope = dirichlet.main_term_slope(q or 1, c1)
+        constants = dirichlet.constants_summary(args.prime_limit, (q or 1,))
+        slope = constants["theorem_constant"] if quantity == "S_B" else constants["slopes"][str(q or 1)]
     rows = analysis.compare_main_term(checkpoints, slope, quantity, q=q)
     fit = analysis.fit_error_exponent([(r.x, abs(r.residual)) for r in rows])
     _emit_doc(

@@ -33,7 +33,7 @@ from .multiplicative import (
     sieve_segment,
     twisted_ratio_numerators,
 )
-from .primes import is_prime, prime_blocks, primes_upto
+from .primes import DEFAULT_Q, check_q, is_prime, prime_blocks, primes_upto
 
 DEFAULT_PRIME_LIMIT = 10**8  # flagship truncation for the s=1 constants
 RHS_PRIME_LIMIT = 10**5  # plenty for the series checks (tail <= 1e-10 at s>=1.5)
@@ -77,15 +77,6 @@ class ProductEstimate:
         return v - slack, v + slack
 
 
-@dataclass(frozen=True)
-class CoefficientQ:
-    """Reduced fraction (2q^2 - q) / (2q^2 - 2q + 1) for q prime or 1."""
-
-    q: int
-    num: int
-    den: int
-
-
 def zeta_real(s: float) -> float:
     """zeta(s) for real 1 < s <= 64, from mpmath."""
     if not 1 < s <= 64:
@@ -100,17 +91,13 @@ def _tail_bound(s: float, prime_limit: int) -> float:
 def euler_product_C(s: float, prime_limit: int) -> ProductEstimate:
     """prod_{p <= prime_limit} (1 - 1/(2p^{2s}) + 1/(2p^{3s})) with tail bound.
 
-    One path for every real s > 1/2 and prime_limit <= 2^31: the primes
+    One path for every finite s > 1/2 and prime_limit <= 2^31: the primes
     up to HEAD_PRIME_LIMIT are multiplied at 128 bits, and the rest enter
     as exp of a float64 log-sum taken per fixed prime block and combined
     by fsum in ascending block order.
     """
-    if not s > 0.5:
-        raise ValueError(f"euler_product_C expects s > 1/2 (got {s})")
-    if prime_limit < 2:
-        raise ValueError("prime_limit must be >= 2")
-    if prime_limit > FAST_PATH_PRIME_CAP:
-        raise ValueError(f"prime_limit exceeds sieve budget {FAST_PATH_PRIME_CAP}")
+    check_local_grid((s,))
+    _check_prime_limit(prime_limit)
     s = float(s)
     block_sums, largest = [], 0
     for block in prime_blocks(prime_limit):
@@ -139,8 +126,13 @@ def euler_product_C(s: float, prime_limit: int) -> ProductEstimate:
     )
 
 
+def _check_prime_limit(prime_limit: int) -> None:
+    if not 2 <= prime_limit <= FAST_PATH_PRIME_CAP:
+        raise ValueError(f"prime limit must be in [2, {FAST_PATH_PRIME_CAP}] (got {prime_limit})")
+
+
 def check_local_grid(s_grid, name: str = "s") -> None:
-    """Raise unless every s in s_grid is finite and exceeds 1/2, the domain of local_factor_residual."""
+    """Raise unless every s in s_grid is finite and exceeds 1/2, the domain of the local factors."""
     if bad := [s for s in s_grid if not 0.5 < s < math.inf]:
         raise ValueError(f"{name} must be finite and exceed 1/2 (got {bad[0]})")
 
@@ -161,85 +153,65 @@ def local_factor_residual(p: int, s: float) -> float:
     return abs(lhs - rhs)
 
 
-def lemma_coefficient(q: int) -> CoefficientQ:
+def lemma_coefficient(q: int) -> Fraction:
     """Exact reduced (2q^2 - q) / (2q^2 - 2q + 1); q must be 1 or prime."""
-    if q != 1 and not is_prime(q):
-        raise ValueError(f"q must be 1 or prime (got {q})")
-    f = Fraction(2 * q * q - q, 2 * q * q - 2 * q + 1)
-    return CoefficientQ(q=q, num=f.numerator, den=f.denominator)
+    check_q(q)
+    return Fraction(2 * q * q - q, 2 * q * q - 2 * q + 1)
 
 
-def _require_s1(c1: ProductEstimate) -> None:
+def _times_c1(factor: float, c1: ProductEstimate) -> tuple[float, list[float]]:
+    """factor * C(1) and its enclosure from the product's tail certificate."""
     if c1.s != 1.0:
         raise ValueError(f"need a product estimate at s=1 (got s={c1.s})")
-
-
-def main_term_slope(q: int, c1: ProductEstimate) -> float:
-    """Linear main-term coefficient for sum_{n<=x} ratio(qn): coeff * pi^2/6 * C."""
-    _require_s1(c1)
-    coeff = lemma_coefficient(q)
-    return (coeff.num / coeff.den) * (math.pi**2 / 6.0) * (c1.value + c1.value_lo)
-
-
-def main_term_slope_interval(q: int, c1: ProductEstimate) -> tuple[float, float]:
-    """Slope enclosure induced by the product's tail certificate."""
-    _require_s1(c1)
-    coeff = lemma_coefficient(q)
-    factor = (coeff.num / coeff.den) * (math.pi**2 / 6.0)
     lo, hi = c1.interval()
-    return factor * lo, factor * hi
+    return factor * (c1.value + c1.value_lo), [factor * lo, factor * hi]
+
+
+def main_term_slope(q: int, c1: ProductEstimate) -> tuple[float, list[float]]:
+    """Linear main-term coefficient coeff * pi^2/6 * C of sum_{n<=x} ratio(qn), and its enclosure."""
+    coeff = lemma_coefficient(q)
+    return _times_c1((coeff.numerator / coeff.denominator) * (math.pi**2 / 6.0), c1)
 
 
 def rational_identity_holds() -> bool:
     """Exact check that 1/6 - (1/5) * coeff(5) * (1/6) equals 16/123."""
-    c5 = lemma_coefficient(5)
-    lhs = Fraction(1, 6) - Fraction(1, 5) * Fraction(c5.num, c5.den) * Fraction(1, 6)
+    lhs = Fraction(1, 6) - Fraction(1, 5) * lemma_coefficient(5) * Fraction(1, 6)
     return lhs == Fraction(16, 123)
 
 
-def theorem_constant(c1: ProductEstimate) -> float:
-    """Main-term coefficient (16 pi^2 / 123) * C for the B-restricted sum."""
-    _require_s1(c1)
+def theorem_constant(c1: ProductEstimate) -> tuple[float, list[float]]:
+    """Main-term coefficient (16 pi^2 / 123) * C of the B-restricted sum, and its enclosure."""
     if not rational_identity_holds():
         raise ArithmeticError("rational identity 1/6 - 3/82 = 16/123 failed")
-    return (16.0 * math.pi**2 / 123.0) * (c1.value + c1.value_lo)
+    return _times_c1(16.0 * math.pi**2 / 123.0, c1)
 
 
-def theorem_constant_interval(c1: ProductEstimate) -> tuple[float, float]:
-    _require_s1(c1)
-    factor = 16.0 * math.pi**2 / 123.0
-    lo, hi = c1.interval()
-    return factor * lo, factor * hi
-
-
-def _check_lhs(q: int, s: float, terms: int) -> None:
-    if q != 1 and not is_prime(q):
-        raise ValueError(f"q must be 1 or prime (got {q})")
-    if not s > 1:
-        raise ValueError(f"series evaluation requires s > 1 (got {s})")
+def _check_lhs(q_list, s_grid, terms: int) -> None:
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    if q * terms > LHS_TERM_CAP:
-        raise ValueError(f"q * terms exceeds budget {LHS_TERM_CAP}")
+    for q in q_list:
+        check_q(q)
+        if q * terms > LHS_TERM_CAP:
+            raise ValueError(f"q * terms exceeds budget {LHS_TERM_CAP} (got q={q})")
+    if bad := [s for s in s_grid if not s > 1]:
+        raise ValueError(f"s must exceed 1 (got {bad[0]})")
 
 
-def _check_rhs(q: int, s: float) -> None:
-    if q != 1 and not is_prime(q):
-        raise ValueError(f"q must be 1 or prime (got {q})")
-    if not 1 < s <= 32:
-        raise ValueError(f"dirichlet_rhs expects 1 < s <= 32 (got {s})")
+def _check_rhs(q_list, s_grid) -> None:
+    for q in q_list:
+        check_q(q)
+    if bad := [s for s in s_grid if not 1 < s <= 32]:
+        raise ValueError(f"s must be in (1, 32] (got {bad[0]})")
 
 
 def check_series_grid(q_list, s_grid, terms: int, prime_limit: int) -> None:
-    """Raise ValueError unless both sides of the series check accept every (q, s).
+    """Raise ValueError unless both sides of the series check accept the whole grid.
 
     Lets a whole verification grid fail before its first sieve.
     """
-    if not 2 <= prime_limit <= FAST_PATH_PRIME_CAP:
-        raise ValueError(f"prime_limit must be in [2, {FAST_PATH_PRIME_CAP}] (got {prime_limit})")
-    for q, s in itertools.product(q_list, s_grid):
-        _check_lhs(q, s, terms)
-        _check_rhs(q, s)
+    _check_lhs(q_list, s_grid, terms)
+    _check_rhs(q_list, s_grid)
+    _check_prime_limit(prime_limit)
 
 
 def dirichlet_lhs(q_list, s_grid, terms: int) -> dict[tuple[int, float], tuple[float, float]]:
@@ -251,9 +223,8 @@ def dirichlet_lhs(q_list, s_grid, terms: int) -> dict[tuple[int, float], tuple[f
     overshoots the true remainder for s >= 1.5; it is a reporting aid, not
     a bound used in arithmetic.
     """
+    _check_lhs(q_list, s_grid, terms)
     value = dict.fromkeys(itertools.product(q_list, s_grid), 0.0)
-    for q, s in value:
-        _check_lhs(q, s, terms)
     scale = 2.0**-CELL_EXP
     for lo in range(1, terms + 1, LHS_CHUNK):
         hi = min(lo + LHS_CHUNK, terms + 1)
@@ -283,8 +254,7 @@ def dirichlet_rhs(
 
     The product and the zeta values are computed once per s.
     """
-    for q, s in itertools.product(q_list, s_grid):
-        _check_rhs(q, s)
+    _check_rhs(q_list, s_grid)
     out = {}
     for s in dict.fromkeys(s_grid):
         c = euler_product_C(s, prime_limit)
@@ -293,23 +263,23 @@ def dirichlet_rhs(
     return out
 
 
-def constants_summary(prime_limit: int = DEFAULT_PRIME_LIMIT, q_list=(1, 2, 3, 5, 7)) -> dict:
+def constants_summary(prime_limit: int = DEFAULT_PRIME_LIMIT, q_list=DEFAULT_Q) -> dict:
     """All reported constants at s=1 from one product evaluation."""
     for q in q_list:  # a bad q fails before the product is computed
-        lemma_coefficient(q)
+        check_q(q)
     c1 = euler_product_C(1.0, prime_limit)
-    lemma_lo, lemma_hi = main_term_slope_interval(1, c1)
-    thm_lo, thm_hi = theorem_constant_interval(c1)
+    lemma, lemma_interval = main_term_slope(1, c1)
+    theorem, theorem_interval = theorem_constant(c1)
     return {
         "s": 1.0,
         "prime_limit": c1.prime_limit,
         "product_value": c1.value + c1.value_lo,
         "product_tail_bound": c1.tail_bound,
         "product_interval": list(c1.interval()),
-        "lemma_constant": main_term_slope(1, c1),
-        "lemma_constant_interval": [lemma_lo, lemma_hi],
-        "theorem_constant": theorem_constant(c1),
-        "theorem_constant_interval": [thm_lo, thm_hi],
+        "lemma_constant": lemma,
+        "lemma_constant_interval": lemma_interval,
+        "theorem_constant": theorem,
+        "theorem_constant_interval": theorem_interval,
         "rational_identity_16_over_123": rational_identity_holds(),
-        "slopes": {str(q): main_term_slope(q, c1) for q in q_list},
+        "slopes": {str(q): main_term_slope(q, c1)[0] for q in q_list},
     }

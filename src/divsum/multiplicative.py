@@ -20,7 +20,7 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
-from .primes import is_prime, primes_upto
+from .primes import check_q, primes_upto
 
 SCALE_EXP = 32
 MAX_FACTORIZE = 1 << 63
@@ -221,8 +221,7 @@ def twisted_ratio_numerators(q: int, lo: int, num: np.ndarray) -> np.ndarray:
     a >= 1, ratio(qn) = ratio(n) * (a+2)/(a+1), exact because the cell is
     (a+1) times R 2^(CELL_EXP-1), as in sieve_segment.  q = 1 returns num.
     """
-    if q != 1 and not is_prime(q):
-        raise ValueError(f"q must be 1 or prime (got {q})")
+    check_q(q)
     if q == 1 or num.size == 0:
         return num
     a = np.zeros(num.size, dtype=np.int8)  # v_q(n) < 64

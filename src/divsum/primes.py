@@ -14,6 +14,10 @@ from math import isqrt
 import numpy as np
 
 DEFAULT_BLOCK = 1 << 23
+# no command gains from a q past 2^32 (sums.MAX_LIMIT < 2^32, so every
+# stop x // q is 0), and below it is_prime takes under 2^15 trial divisions
+MAX_Q = 1 << 32
+DEFAULT_Q = (1, 2, 3, 5, 7)  # the twists q every command takes by default
 
 
 def primes_upto(limit: int) -> np.ndarray:
@@ -74,3 +78,11 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def check_q(q: int) -> None:
+    """Raise ValueError unless q is 1 or a prime below MAX_Q: the twists every entry point accepts."""
+    if q >= MAX_Q:
+        raise ValueError(f"q must be below 2^32 (got {q})")
+    if q != 1 and not is_prime(q):
+        raise ValueError(f"q must be 1 or prime (got {q})")

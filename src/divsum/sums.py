@@ -37,9 +37,10 @@ from .multiplicative import (
     DyadicValue,
     sieve_segment,
 )
-from .primes import is_prime
+from .primes import DEFAULT_Q, check_q
 
 MAX_LIMIT = 10**9
+DEFAULT_SEGMENT_SIZE = 1 << 20
 MAX_THREADS = 64  # each pool thread holds one segment of up to MAX_SEGMENT_CELLS
 # largest q*limit that twisted_sum accepts
 TWISTED_VALUE_BUDGET = 10**10
@@ -91,28 +92,32 @@ def _checkpoint(x: int, core, twisted: dict[int, dict[int, int]]) -> Checkpoint:
     return Checkpoint(x, s_all, s_a, s_b, t_non, count_non_a, stops)
 
 
+def check_segment_size(segment_size: int) -> None:
+    """Raise ValueError unless 1 <= segment_size <= MAX_SEGMENT_CELLS."""
+    if not 1 <= segment_size <= MAX_SEGMENT_CELLS:
+        raise ValueError(f"segment_size must be in [1, {MAX_SEGMENT_CELLS}] (got {segment_size})")
+
+
 @dataclass
 class EngineConfig:
     limit: int
-    segment_size: int = 1 << 20
+    segment_size: int = DEFAULT_SEGMENT_SIZE
     refine_factor2: bool = True
-    q_list: tuple[int, ...] = (1, 2, 3, 5, 7)
+    q_list: tuple[int, ...] = DEFAULT_Q
     thread_count: int = 1
     resume_path: str | None = None
 
     def __post_init__(self):
         if not 1 <= self.limit <= MAX_LIMIT:
             raise ValueError(f"limit must be in [1, {MAX_LIMIT}] (got {self.limit})")
-        if not 1 <= self.segment_size <= MAX_SEGMENT_CELLS:
-            raise ValueError(f"segment_size must be in [1, {MAX_SEGMENT_CELLS}]")
+        check_segment_size(self.segment_size)
         if not 1 <= self.thread_count <= MAX_THREADS:
             raise ValueError(f"thread_count must be in [1, {MAX_THREADS}] (got {self.thread_count})")
         qs = tuple(sorted(set(int(q) for q in self.q_list)))
         if not qs:
             raise ValueError("q_list must not be empty")
         for q in qs:
-            if q != 1 and not is_prime(q):
-                raise ValueError(f"q values must be 1 or prime (got {q})")
+            check_q(q)
         self.q_list = qs
 
 
@@ -162,6 +167,11 @@ def _pass(bounds, stops, segment_size: int, map_fn=map, totals=(0,) * 5, classes
     return at_bound, s_at
 
 
+def _checkpoint_stops(q: int, x: int) -> tuple[int, int]:
+    """The two stops m at which a checkpoint at x keeps sum_{n<=m} ratio(q n)."""
+    return x // q, x
+
+
 def _twist_stops(q: int, m: int) -> list[int]:
     """The stops m // q^k, k = 0, 1, ..., while nonzero; q = 1 has the one stop m."""
     stops = [m] if m else []
@@ -190,16 +200,14 @@ def _twisted_value(q: int, m: int, s_at: dict[int, int]) -> int:
     return value
 
 
-def twisted_sum(q: int, limit: int, segment_size: int = 1 << 20) -> DyadicValue:
+def twisted_sum(q: int, limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> DyadicValue:
     """Exact sum_{n<=limit} ratio(q n), from S at the stops limit // q^k of one pass."""
-    if q != 1 and not is_prime(q):
-        raise ValueError(f"q must be 1 or prime (got {q})")
+    check_q(q)
     if limit < 0:
         raise ValueError("limit must be >= 0")
     if q * limit > TWISTED_VALUE_BUDGET:
         raise ValueError(f"q*limit exceeds budget {TWISTED_VALUE_BUDGET}")
-    if not 1 <= segment_size <= MAX_SEGMENT_CELLS:
-        raise ValueError(f"segment_size must be in [1, {MAX_SEGMENT_CELLS}]")
+    check_segment_size(segment_size)
     s_at = _pass([0, limit], sorted(_twist_stops(q, limit)), segment_size, classes=False)[1]
     return DyadicValue(_twisted_value(q, limit, s_at))
 
@@ -223,7 +231,7 @@ def _load_resume_state(config: EngineConfig, schedule: list[int]):
         )
     for cp in prior:
         stops = {q: set(v) for q, v in cp.twisted.items()}
-        if stops != {q: {cp.x // q, cp.x} for q in config.q_list}:
+        if stops != {q: set(_checkpoint_stops(q, cp.x)) for q in config.q_list}:
             raise CheckpointFormatError(
                 f"checkpoint x={cp.x} carries twisted stops {stops}, config wants "
                 f"q={list(config.q_list)} at stops x//q and x"
@@ -284,7 +292,7 @@ def accumulate(config: EngineConfig) -> list[Checkpoint]:
         s_at.update(s_new)
 
     new = [
-        _checkpoint(x, at[x], {q: {m: _twisted_value(q, m, s_at) for m in (x // q, x)} for q in qs})
+        _checkpoint(x, at[x], {q: {m: _twisted_value(q, m, s_at) for m in _checkpoint_stops(q, x)} for q in qs})
         for x in new_points
     ]
     for cp in new:  # load_checkpoints has checked the prior ones
@@ -314,7 +322,7 @@ def save_checkpoints(path: str, checkpoints: list[Checkpoint]) -> None:
 
 
 def load_checkpoints(path: str) -> list[Checkpoint]:
-    """Parse a checkpoint CSV; refuse malformed lines and failed identities."""
+    """Parse a checkpoint CSV; refuse malformed lines and checkpoints that fail _validate_checkpoint."""
     with open(path, encoding="utf-8", newline="") as fh:
         lines = list(csv.reader(fh))
     if not lines or lines[0] != CSV_HEADER:
@@ -344,7 +352,8 @@ def load_checkpoints(path: str) -> list[Checkpoint]:
         rec["twisted"][q][m] = tw
     out = [_checkpoint(x, by_x[x]["core"], by_x[x]["twisted"]) for x in sorted(by_x)]
     for cp in out:
-        failed = [name for name, ok in checkpoint_identities(cp).items() if ok is False]
-        if failed:
-            raise CheckpointFormatError(f"{path}: checkpoint x={cp.x}: {', '.join(failed)} fails")
+        try:
+            _validate_checkpoint(cp)
+        except (EngineInvariantError, OverflowError) as e:
+            raise CheckpointFormatError(f"{path}: checkpoint {e}") from None
     return out

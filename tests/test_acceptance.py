@@ -54,7 +54,7 @@ def engine_run_1e7():
 def test_criterion_1_constant_reproduction(flagship_product):
     c8, c7, elapsed = flagship_product
     failures = []
-    lemma = dirichlet.main_term_slope(1, c8)
+    lemma, _ = dirichlet.main_term_slope(1, c8)
     if abs(lemma - LEMMA_TARGET) > 2e-7:
         failures.append(f"lemma constant {lemma!r} off target by {abs(lemma - LEMMA_TARGET):.2e} > 2e-7")
     if c8.tail_bound > 1e-8:
@@ -71,7 +71,7 @@ def test_criterion_1_constant_reproduction(flagship_product):
 def test_criterion_2_theorem_constant(flagship_product):
     c8, _, _ = flagship_product
     failures = []
-    theorem = dirichlet.theorem_constant(c8)
+    theorem, _ = dirichlet.theorem_constant(c8)
     if abs(theorem - THEOREM_TARGET) > 5e-7:
         failures.append(f"theorem constant {theorem!r} off by {abs(theorem - THEOREM_TARGET):.2e} > 5e-7")
     if not dirichlet.rational_identity_holds():
@@ -164,7 +164,7 @@ def test_criterion_6_lemma_level_asymptotics(engine_run_1e7, flagship_product):
     by_x = {cp.x: cp for cp in cps}
     failures = []
     for q in Q_GRID:
-        slope = dirichlet.main_term_slope(q, c8)
+        slope, _ = dirichlet.main_term_slope(q, c8)
         for x in X_GRID:
             empirical = by_x[x].twisted[q][x].to_float()
             residual = abs(empirical - slope * x)
@@ -172,7 +172,7 @@ def test_criterion_6_lemma_level_asymptotics(engine_run_1e7, flagship_product):
                 failures.append(
                     f"q={q}, x={x}: |twisted - slope*x| = {residual:.1f} > {5 * x**0.6:.1f}"
                 )
-    slope1 = dirichlet.main_term_slope(1, c8)
+    slope1, _ = dirichlet.main_term_slope(1, c8)
     pts = [(x, abs(by_x[x].S.to_float() - slope1 * x)) for x in X_GRID]
     fit = analysis.fit_error_exponent(pts)
     if fit.slope > 0.75:
@@ -185,7 +185,7 @@ def test_criterion_7_theorem_level_asymptotics(engine_run_1e7, flagship_product)
     c8, _, _ = flagship_product
     cps, _ = engine_run_1e7
     by_x = {cp.x: cp for cp in cps}
-    theorem = dirichlet.theorem_constant(c8)
+    theorem, _ = dirichlet.theorem_constant(c8)
     failures = []
     for x in X_GRID:
         cp = by_x[x]

@@ -91,7 +91,7 @@ def test_non_a_count_fit_matches_digit_growth():
 def test_corrected_rows_cancel_complement_term():
     cps = accumulate(EngineConfig(limit=10**4, q_list=(1, 5)))
     c1 = dirichlet.euler_product_C(1.0, 10**5)
-    theorem = dirichlet.theorem_constant(c1)
+    theorem, _ = dirichlet.theorem_constant(c1)
     raw = compare_main_term(cps, theorem, "S_B")
     corrected = corrected_theorem_rows(cps, theorem)
     for r, c in zip(raw, corrected):

@@ -136,9 +136,10 @@ def test_verify_local_refuses_oversize_samples_before_grid(capsys, monkeypatch):
         raise AssertionError("built the grid for an oversize --samples")
 
     monkeypatch.setattr(cli, "primes_upto", no_sieve)
-    code, out, err = run_cli(capsys, "verify-local", "--samples", "1e10")
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and "--samples" in err
+    for samples in ("1e10", "-1"):
+        code, out, err = run_cli(capsys, "verify-local", "--samples", samples)
+        assert code == 1 and out == "", samples
+        assert err.startswith("error: --samples must be in [0, 1000000]"), samples
 
 
 @pytest.mark.parametrize("grid", ["inf", "1,-inf", "nan", "2,0.5", "0.4"])
@@ -150,6 +151,19 @@ def test_verify_local_checks_s_grid_before_any_row(capsys, monkeypatch, grid):
     code, out, err = run_cli(capsys, "verify-local", "--s-grid", grid)
     assert code == 1 and out == ""
     assert err.startswith("error: --s-grid") and "finite and exceed 1/2" in err
+
+
+@pytest.mark.parametrize(
+    "grid, want", [("inf", "(1, 32]"), ("nan", "exceed 1"), ("0.9", "exceed 1"), ("2,33", "(1, 32]")]
+)
+def test_verify_dirichlet_checks_s_grid_before_sieving(capsys, monkeypatch, grid, want):
+    def no_sieve(lo, hi):
+        raise AssertionError("sieved before the whole grid was checked")
+
+    monkeypatch.setattr(dirichlet, "sieve_segment", no_sieve)
+    code, out, err = run_cli(capsys, "verify-dirichlet", "--s-grid", grid, "--terms", "1000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: s must") and want in err, err
 
 
 def test_verify_local_with_samples_seeded(capsys):
@@ -345,6 +359,25 @@ def test_bad_q_refused_before_euler_product(tmp_path, capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv, "--q", "1,4")
         assert code == 1 and out == "", argv
         assert err.startswith("error:") and "q must be 1 or prime (got 4)" in err, argv
+
+
+def test_fit_slope_is_the_report_constant(capsys):
+    csv_path = str(Path(__file__).resolve().parents[1] / "perfbench" / "data" / "grid_1e6.csv")
+    code, out, _ = run_cli(capsys, "report", "--checkpoints", csv_path, "--prime-limit", "1e5")
+    assert code == 0
+    constants = json.loads(out)["constants"]
+    for quantity, want in (
+        ("S", constants["lemma_constant"]),
+        ("S_B", constants["theorem_constant"]),
+        ("twisted:5", constants["slopes"]["5"]),
+    ):
+        code, out, _ = run_cli(
+            capsys, "fit", "--checkpoints", csv_path, "--prime-limit", "1e5", "--quantity", quantity,
+            "--format", "csv",
+        )
+        assert code == 0, quantity
+        slope = float(out.splitlines()[1].split(",")[1])  # full precision in csv
+        assert float(format(slope, ".15g")) == want, quantity
 
 
 def test_python_dash_m_runs_from_source_tree():

@@ -12,7 +12,6 @@ from divsum.dirichlet import (
     lemma_coefficient,
     local_factor_residual,
     main_term_slope,
-    main_term_slope_interval,
     rational_identity_holds,
     rhs_prefactor,
     theorem_constant,
@@ -154,17 +153,16 @@ def test_local_factor_rejects():
 
 
 def test_lemma_coefficient_values():
-    assert (lemma_coefficient(1).num, lemma_coefficient(1).den) == (1, 1)
-    assert (lemma_coefficient(5).num, lemma_coefficient(5).den) == (45, 41)
-    assert (lemma_coefficient(2).num, lemma_coefficient(2).den) == (6, 5)
+    assert lemma_coefficient(1) == Fraction(1, 1)
+    assert lemma_coefficient(5) == Fraction(45, 41)
+    assert lemma_coefficient(2) == Fraction(6, 5)
 
 
 def test_lemma_coefficient_reduced_and_monotone():
     prev = None
     for q in [1] + [int(p) for p in primes_upto(10**4)]:
-        c = lemma_coefficient(q)
-        assert math.gcd(c.num, c.den) == 1
-        val = Fraction(c.num, c.den)
+        val = lemma_coefficient(q)
+        assert math.gcd(val.numerator, val.denominator) == 1
         if q == 1:
             assert val == 1
             continue
@@ -172,7 +170,7 @@ def test_lemma_coefficient_reduced_and_monotone():
         if prev is not None:
             assert val < prev  # decreasing toward 1 over primes
         prev = val
-    assert Fraction(lemma_coefficient(2).num, lemma_coefficient(2).den) == Fraction(6, 5)
+    assert lemma_coefficient(2) == Fraction(6, 5)
 
 
 def test_lemma_coefficient_rejects_composite():
@@ -183,18 +181,18 @@ def test_lemma_coefficient_rejects_composite():
 
 def test_slopes_and_theorem_constant(product_1e6):
     c1 = product_1e6
-    slope1 = main_term_slope(1, c1)
+    slope1, (lo, hi) = main_term_slope(1, c1)
+    slope5, _ = main_term_slope(5, c1)
+    theorem, (theorem_lo, theorem_hi) = theorem_constant(c1)
     assert slope1 == pytest.approx(1.4276565, abs=3e-6)
-    assert main_term_slope(5, c1) == pytest.approx(slope1 * 45 / 41, rel=1e-14)
-    assert main_term_slope(5, c1) == pytest.approx(1.5669401, abs=3e-6)
-    assert main_term_slope(2, c1) == pytest.approx(1.7131878, abs=3e-6)
-    assert theorem_constant(c1) == pytest.approx(1.1142685, abs=3e-6)
+    assert slope5 == pytest.approx(slope1 * 45 / 41, rel=1e-14)
+    assert slope5 == pytest.approx(1.5669401, abs=3e-6)
+    assert main_term_slope(2, c1)[0] == pytest.approx(1.7131878, abs=3e-6)
+    assert theorem == pytest.approx(1.1142685, abs=3e-6)
     # same rational identity, in real arithmetic
-    assert theorem_constant(c1) == pytest.approx(
-        slope1 - main_term_slope(5, c1) / 5, abs=1e-12
-    )
-    lo, hi = main_term_slope_interval(1, c1)
+    assert theorem == pytest.approx(slope1 - slope5 / 5, abs=1e-12)
     assert lo <= slope1 <= hi and hi - lo < 1e-5
+    assert theorem_lo <= theorem <= theorem_hi and theorem_hi - theorem_lo < 1e-5
 
 
 def test_slope_requires_s1_product():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divsum.primes import DEFAULT_BLOCK, is_prime, prime_blocks, primes_upto
+from divsum import dirichlet, multiplicative, sums
+from divsum.primes import DEFAULT_BLOCK, MAX_Q, check_q, is_prime, prime_blocks, primes_upto
 
 
 def test_primes_upto_small():
@@ -48,3 +49,41 @@ def test_prime_blocks_default_block_boundary():
     first, second = prime_blocks(limit)
     assert first[-1] < DEFAULT_BLOCK <= second[0]
     assert np.array_equal(np.concatenate([first, second]), primes_upto(limit))
+
+
+def test_check_q_accepts_one_and_primes_below_the_bound():
+    for q in (1, 2, 3, 5, 7, 97, 4294967291):  # the largest prime below 2^32
+        check_q(q)
+    assert MAX_Q == 1 << 32
+
+
+@pytest.mark.parametrize("q", [2**61 - 1, 1 << 32, 2**89 - 1])
+def test_check_q_refuses_large_primes_without_trial_division(q, monkeypatch):
+    def no_trial_division(n):
+        raise AssertionError("ran trial division on a q past the bound")
+
+    monkeypatch.setattr("divsum.primes.is_prime", no_trial_division)
+    with pytest.raises(ValueError, match=r"q must be below 2\^32"):
+        check_q(q)
+
+
+# every public entry that takes q, called with a valid rest of its arguments
+Q_ENTRIES = {
+    "EngineConfig": lambda q: sums.EngineConfig(limit=10, q_list=(1, q)),
+    "twisted_sum": lambda q: sums.twisted_sum(q, 10),
+    "twisted_ratio_numerators": lambda q: multiplicative.twisted_ratio_numerators(
+        q, 1, multiplicative.sieve_segment(1, 11)
+    ),
+    "lemma_coefficient": dirichlet.lemma_coefficient,
+    "dirichlet_lhs": lambda q: dirichlet.dirichlet_lhs((1, q), (2.0,), 10),
+    "dirichlet_rhs": lambda q: dirichlet.dirichlet_rhs((1, q), (2.0,), 100),
+    "constants_summary": lambda q: dirichlet.constants_summary(100, (1, q)),
+}
+
+
+@pytest.mark.parametrize("q", [0, 4, -3])
+@pytest.mark.parametrize("entry", Q_ENTRIES)
+def test_every_q_entry_refuses_with_the_one_message(entry, q):
+    with pytest.raises(ValueError, match=rf"^q must be 1 or prime \(got {q}\)$"):
+        Q_ENTRIES[entry](q)
+    Q_ENTRIES[entry](5)  # and the same call with a prime q runs

@@ -323,6 +323,16 @@ def test_load_refuses_failed_identity(tmp_path, column, x, q, m, identity):
     assert str(err.value) == f"{p}: checkpoint x={x}: {identity} fails"
 
 
+def test_load_refuses_checkpoint_below_the_mean_ratio_bound(tmp_path):
+    # every identity holds, but S(10) = 9 < 10 although every ratio is >= 1
+    p = tmp_path / "low.csv"
+    s, s_a, t_non = 9 << 32, 1 << 32, 8 << 32
+    p.write_text(",".join(CSV_HEADER) + f"\n10,32,{s},{s_a},0,{t_non},8,1,10,{s}\n")
+    with pytest.raises(CheckpointFormatError) as err:
+        load_checkpoints(str(p))
+    assert str(err.value) == f"{p}: checkpoint x=10: mean ratio below 1"
+
+
 def test_checkpoint_identities_without_q5():
     for cp in accumulate(EngineConfig(limit=1000, q_list=(1,))):
         assert checkpoint_identities(cp) == {
