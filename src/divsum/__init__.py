@@ -2,7 +2,6 @@
 
 from .digitset import (
     DigitClass,
-    DigitMultiset,
     classify,
     count_non_a,
     non_a_bound,

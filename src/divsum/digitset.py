@@ -13,13 +13,13 @@ one-row views.  A row whose high part h shows a 0 or 5 lies wholly in A;
 the others take each cell's class from a table over the four zero-padded
 low digits r (over r itself, unpadded, when h = 0).  One einsum with the
 table's stacked 0/1 weights gives every row's sums over A and over its
-complement.
+complement, and the sum of the complement's weights over a view's columns
+counts the complement in each row that is not wholly in A.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cache
 from math import floor, log
 
@@ -31,36 +31,30 @@ NON_A_DIGITS = frozenset("12346789")
 # exponent of the complement's growth: ln 8 / ln 10
 NON_A_EXPONENT = log(8.0) / log(10.0)
 
-MAX_CLASSIFY = 1 << 64
-MAX_WITNESS = 10**18
+MAX_CLASSIFY = 1 << 64  # classify and permutation_witness take 1 <= n < 2^64
 
 _BLOCK = 10**4
 
 
 @cache
-def _digit_tables() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(weights, nonA_prefix) for padded and for unpadded r in [0, 10^4).
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Stacked 0/1 weights for padded and for unpadded r in [0, 10^4).
 
     Padded reads r as four digits with leading zeros, the low part of some
-    n >= 10^4; unpadded reads r as written, for n = r < 10^4.  weights
+    n >= 10^4; unpadded reads r as written, for n = r < 10^4.  Each table
     stacks w_A (1 where r shows a 0 or 5 among those digits) over its
-    complement w_nonA, and nonA_prefix[i] counts the non-A entries below i.
-    Built on first use, so importing the module costs nothing; all are
-    read-only, because every caller shares them.
+    complement w_nonA.  Built on first use, so importing the module costs
+    nothing; read-only, because every caller shares them.
     """
     r = np.arange(_BLOCK)
     hits = [r // 10**i % 10 % 5 == 0 for i in range(4)]  # digit i of r is 0 or 5
     padded = np.any(hits, axis=0)
     # digit i >= 1 exists only when r >= 10^i (entry 0 is never read: n >= 1)
     unpadded = np.any([hit & (r >= 10**i) for i, hit in enumerate(hits)], axis=0)
-    tables = []
-    for in_a in (padded, unpadded):
-        weights = np.stack((in_a, ~in_a)).astype(np.int32)
-        prefix = np.concatenate(([0], np.cumsum(weights[1])))
-        for table in (weights, prefix):
-            table.flags.writeable = False
-        tables.append((weights, prefix))
-    return tuple(tables)
+    tables = tuple(np.stack((in_a, ~in_a)).astype(np.int32) for in_a in (padded, unpadded))
+    for weights in tables:
+        weights.flags.writeable = False
+    return tables
 
 
 def _has_no_0_or_5(h: np.ndarray) -> np.ndarray:
@@ -78,34 +72,18 @@ class DigitClass(enum.Enum):
     MULTIPLE_OF_FIVE = "multiple-of-5"
 
 
-@dataclass(frozen=True)
-class DigitMultiset:
-    """Digit population of a positive integer's decimal representation."""
-
-    counts: tuple[int, ...]  # occurrences of digits 0..9
-    length: int
-
-    @classmethod
-    def of_int(cls, n: int) -> "DigitMultiset":
-        s = str(n)
-        counts = [0] * 10
-        for ch in s:
-            counts[ord(ch) - 48] += 1
-        return cls(tuple(counts), len(s))
-
-
-def _check_range(n: int, upper: int, what: str) -> None:
+def _check_range(n: int, what: str) -> None:
     if not isinstance(n, int):
         raise TypeError(f"{what} expects an integer, got {type(n).__name__}")
     if n < 1:
         raise ValueError(f"{what} is defined for positive integers only (got {n})")
-    if n >= upper:
-        raise ValueError(f"{what} supports n < {upper} (got {n})")
+    if n >= MAX_CLASSIFY:
+        raise ValueError(f"{what} supports n < 2^64 (got {n})")
 
 
 def classify(n: int) -> DigitClass:
     """Three-way digit class of n: multiple of 5, B member, or neither."""
-    _check_range(n, MAX_CLASSIFY, "classify")
+    _check_range(n, "classify")
     if n % 5 == 0:
         return DigitClass.MULTIPLE_OF_FIVE
     s = str(n)
@@ -131,55 +109,37 @@ def class_sums(lo: int, num: np.ndarray) -> tuple[int, int, int, int]:
     full = num[a - lo : b - lo].reshape(-1, _BLOCK)
     for start, rows in ((lo, num[: a - lo][None]), (a, full), (b, num[b - lo :][None])):
         h, r = divmod(start, _BLOCK)  # rows[i, j] holds n = (h + i) 10^4 + r + j
-        weights, prefix = _digit_tables()[h == 0]  # h = 0 only in the one-row head
+        weights = _digit_tables()[h == 0]  # h = 0 only in the one-row head
         end = r + rows.shape[1]
         in_a, non_a = np.einsum("ij,kj->ki", rows, weights[:, r:end])
         mix = mixed[h - lo // _BLOCK :][: len(rows)]
         s_a += int(in_a.sum()) + int(non_a[~mix].sum())
         t_non += int(non_a[mix].sum())
-        count += int(mix.sum()) * int(prefix[end] - prefix[r])
+        count += int(mix.sum()) * int(weights[1, r:end].sum())
     multiples_of_5 = int(num[(-lo) % 5 :: 5].sum())
     return s_a, s_a - multiples_of_5, t_non, count
-
-
-def _smallest_with_suffix(counts: list[int], last: int) -> str | None:
-    """Smallest decimal string over the multiset ending in `last`.
-
-    Leading zeros are disallowed for lengths > 1; returns None when every
-    arrangement would need one.
-    """
-    rest = counts.copy()
-    rest[last] -= 1
-    n_rest = sum(rest)
-    if n_rest == 0:
-        return str(last) if last != 0 else None
-    lead = next((d for d in range(1, 10) if rest[d] > 0), None)
-    if lead is None:
-        return None
-    rest[lead] -= 1
-    middle = "".join(str(d) * rest[d] for d in range(10))
-    return f"{lead}{middle}{last}"
 
 
 def permutation_witness(n: int) -> str | None:
     """Smallest no-leading-zero digit rearrangement of n divisible by 5.
 
-    Returns None exactly when classify(n) is NON_A.  Uses direct digit
-    placement, so cost is O(digits), never factorial enumeration.
+    Returns None exactly when classify(n) is NON_A.  For each last digit 0
+    or 5 that n has, the smallest arrangement of the other digits leads
+    with their smallest nonzero digit and takes the rest in ascending
+    order; the witness is the smaller of the two.  Cost is O(digits).
     """
-    _check_range(n, MAX_WITNESS, "permutation_witness")
-    ms = DigitMultiset.of_int(n)
-    counts = list(ms.counts)
-    candidates = []
-    for last in (0, 5):
-        if counts[last] > 0:
-            w = _smallest_with_suffix(counts, last)
-            if w is not None:
-                candidates.append(w)
-    if not candidates:
-        return None
+    _check_range(n, "permutation_witness")
+    digits = sorted(str(n))
+    witnesses = []
+    for last in "05":
+        if last in digits:
+            rest = digits.copy()
+            rest.remove(last)
+            zeros = rest.count("0")  # rest is sorted: its zeros, then its smallest nonzero digit
+            if zeros < len(rest) or not rest:  # else every arrangement would lead with a 0
+                witnesses.append("".join(rest[zeros : zeros + 1] + rest[:zeros] + rest[zeros + 1 :]) + last)
     # equal length, so lexicographic order is numeric order
-    return min(candidates)
+    return min(witnesses, default=None)
 
 
 def count_non_a(x: int) -> int:

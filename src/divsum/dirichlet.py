@@ -154,9 +154,9 @@ def local_factor_residual(p: int, s: float) -> float:
 
 
 def lemma_coefficient(q: int) -> Fraction:
-    """Exact reduced (2q^2 - q) / (2q^2 - 2q + 1); q must be 1 or prime."""
+    """Exact reduced (2q^2 - q) / (2q^2 - 2q + 1), the prefactor at s = 1; q must be 1 or prime."""
     check_q(q)
-    return Fraction(2 * q * q - q, 2 * q * q - 2 * q + 1)
+    return rhs_prefactor(Fraction(q), 1)
 
 
 def _times_c1(factor: float, c1: ProductEstimate) -> tuple[float, list[float]]:
@@ -182,7 +182,7 @@ def rational_identity_holds() -> bool:
 def theorem_constant(c1: ProductEstimate) -> tuple[float, list[float]]:
     """Main-term coefficient (16 pi^2 / 123) * C of the B-restricted sum, and its enclosure."""
     if not rational_identity_holds():
-        raise ArithmeticError("rational identity 1/6 - 3/82 = 16/123 failed")
+        raise ValueError("rational identity 1/6 - 3/82 = 16/123 failed")
     return _times_c1(16.0 * math.pi**2 / 123.0, c1)
 
 
@@ -241,10 +241,10 @@ def dirichlet_lhs(q_list, s_grid, terms: int) -> dict[tuple[int, float], tuple[f
     }
 
 
-def rhs_prefactor(q: int, s: float) -> float:
-    """(2 q^{2s} - q^s) / (2 q^{2s} - 2 q^s + 1); equals 1 for q = 1."""
-    qs = float(q) ** s
-    return (2.0 * qs * qs - qs) / (2.0 * qs * qs - 2.0 * qs + 1.0)
+def rhs_prefactor(q: int | Fraction, s: float) -> float | Fraction:
+    """(2 q^{2s} - q^s) / (2 q^{2s} - 2 q^s + 1); 1 for q = 1, exact for a Fraction q and s = 1."""
+    qs = q**s  # for an int q and a float s this is float(q) ** s
+    return (2 * qs * qs - qs) / (2 * qs * qs - 2 * qs + 1)
 
 
 def dirichlet_rhs(

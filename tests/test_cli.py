@@ -44,6 +44,10 @@ def test_classify(capsys):
     code, out, _ = run_cli(capsys, "classify", "50", "--format", "csv")
     assert out.splitlines()[0] == "n,class,witness"
     assert out.splitlines()[1] == "50,multiple-of-5,50"
+    # classify and its witness share one range, n < 2^64
+    code, out, _ = run_cli(capsys, "classify", str((1 << 64) - 1))
+    assert code == 0
+    assert json.loads(out) == {"n": (1 << 64) - 1, "class": "multiple-of-5", "witness": "10011344445566777895"}
 
 
 def test_count_non_a(capsys):
@@ -60,8 +64,9 @@ def test_usage_error_exits_2(capsys):
 
 
 def test_runtime_error_exits_1(capsys):
-    code, _, err = run_cli(capsys, "classify", "0")
-    assert code == 1 and "error" in err
+    for n in ("0", str(1 << 64)):
+        code, out, err = run_cli(capsys, "classify", n)
+        assert code == 1 and out == "" and err.startswith("error:"), n
 
 
 def test_constant_small(capsys):
@@ -164,6 +169,37 @@ def test_verify_dirichlet_checks_s_grid_before_sieving(capsys, monkeypatch, grid
     code, out, err = run_cli(capsys, "verify-dirichlet", "--s-grid", grid, "--terms", "1000")
     assert code == 1 and out == ""
     assert err.startswith("error: s must") and want in err, err
+
+
+def test_verify_local_refuses_oversize_row_count_before_any_row(capsys, monkeypatch):
+    def no_row(p, s):
+        raise AssertionError("computed a row of an oversize grid")
+
+    monkeypatch.setattr(dirichlet, "local_factor_residual", no_row)
+    # 664579 primes below 10^7 times 3 values of s
+    code, out, err = run_cli(capsys, "verify-local", "--p-max", "1e7", "--s-grid", "1,2,3")
+    assert code == 1 and out == ""
+    assert err == f"error: primes x --s-grid + --samples must be at most {cli.LOCAL_ROWS_CAP} rows (got 1993737)\n"
+    # at the cap exactly: 25 primes to 100 times 5 values of s
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "LOCAL_ROWS_CAP", 125)
+    assert run_cli(capsys, "verify-local", "--p-max", "100")[0] == 0
+    code, out, err = run_cli(capsys, "verify-local", "--p-max", "100", "--samples", "1")
+    assert code == 1 and out == "" and "(got 126)" in err
+
+
+def test_failed_rational_identity_is_one_error_line(tmp_path, capsys, monkeypatch):
+    cp = tmp_path / "cp.csv"
+    assert run_cli(capsys, "sum", "--limit", "1000", "--checkpoints", str(cp))[0] == 0
+    monkeypatch.setattr(dirichlet, "rational_identity_holds", lambda: False)
+    for argv in (
+        ["constant", "--prime-limit", "1000"],
+        ["report", "--prime-limit", "1000", "--checkpoints", str(cp)],
+        ["fit", "--quantity", "S_B", "--prime-limit", "1000", "--checkpoints", str(cp)],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err == "error: rational identity 1/6 - 3/82 = 16/123 failed\n", argv
 
 
 def test_verify_local_with_samples_seeded(capsys):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from divsum.digitset import (
     NON_A_DIGITS,
     DigitClass,
-    DigitMultiset,
     _has_no_0_or_5,
     class_sums,
     classify,
@@ -52,6 +51,8 @@ def test_classify_rejects_bad_input():
         classify(-3)
     with pytest.raises(ValueError):
         classify(1 << 64)
+    with pytest.raises(ValueError):
+        permutation_witness(1 << 64)
 
 
 def test_witness_examples():
@@ -61,6 +62,9 @@ def test_witness_examples():
     assert permutation_witness(5) == "5"
     assert permutation_witness(50) == "50"
     assert permutation_witness(500) == "500"
+    # past 10^18, up to the shared bound 2^64
+    assert permutation_witness(10**19 + 5) == "10000000000000000005"
+    assert permutation_witness((1 << 64) - 1) == "10011344445566777895"
 
 
 def test_witness_matches_brute_force_small():
@@ -97,13 +101,6 @@ def test_partition_and_witness_agree_exhaustively():
 def test_multiple_of_five_always_has_witness():
     for n in range(5, 30_000, 5):
         assert permutation_witness(n) is not None
-
-
-def test_digit_multiset():
-    ms = DigitMultiset.of_int(5505)
-    assert ms.length == 4
-    assert ms.counts[5] == 3 and ms.counts[0] == 1
-    assert sum(ms.counts) == ms.length
 
 
 def test_count_examples():
