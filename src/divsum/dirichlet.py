@@ -147,6 +147,10 @@ def local_factor_residual(p: int, s: float) -> float:
     if not is_prime(p):
         raise ValueError(f"p must be prime (got {p})")
     check_local_grid((s,))
+    return _local_residual(p, s)
+
+
+def _local_residual(p: int, s: float) -> float:  # for a prime p and an s the caller checked
     x = float(p) ** (-s)
     lhs = (2.0 - 2.0 * x + x * x) / (2.0 * (1.0 - x) ** 2)
     rhs = (1.0 - x * x / 2.0 + x * x * x / 2.0) / ((1.0 - x) * (1.0 - x * x))

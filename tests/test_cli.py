@@ -152,7 +152,7 @@ def test_verify_local_checks_s_grid_before_any_row(capsys, monkeypatch, grid):
     def no_row(p, s):
         raise AssertionError("computed a row before the whole grid was checked")
 
-    monkeypatch.setattr(dirichlet, "local_factor_residual", no_row)
+    monkeypatch.setattr(dirichlet, "_local_residual", no_row)
     code, out, err = run_cli(capsys, "verify-local", "--s-grid", grid)
     assert code == 1 and out == ""
     assert err.startswith("error: --s-grid") and "finite and exceed 1/2" in err
@@ -175,7 +175,7 @@ def test_verify_local_refuses_oversize_row_count_before_any_row(capsys, monkeypa
     def no_row(p, s):
         raise AssertionError("computed a row of an oversize grid")
 
-    monkeypatch.setattr(dirichlet, "local_factor_residual", no_row)
+    monkeypatch.setattr(dirichlet, "_local_residual", no_row)
     # 664579 primes below 10^7 times 3 values of s
     code, out, err = run_cli(capsys, "verify-local", "--p-max", "1e7", "--s-grid", "1,2,3")
     assert code == 1 and out == ""
@@ -200,6 +200,16 @@ def test_failed_rational_identity_is_one_error_line(tmp_path, capsys, monkeypatc
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == "", argv
         assert err == "error: rational identity 1/6 - 3/82 = 16/123 failed\n", argv
+
+
+def test_verify_local_takes_its_primes_as_prime(capsys, monkeypatch):
+    # every p comes from a sieve, so no row runs trial division
+    def no_trial_division(n):
+        raise AssertionError("re-proved a sieved prime")
+
+    monkeypatch.setattr(dirichlet, "is_prime", no_trial_division)
+    code, out, _ = run_cli(capsys, "verify-local", "--p-max", "1000")
+    assert code == 0 and json.loads(out)["rows"]
 
 
 def test_verify_local_with_samples_seeded(capsys):
@@ -457,16 +467,19 @@ def test_failed_identity_refused_before_sieving(tmp_path, capsys, monkeypatch):
 
 
 def test_report_bytes_match_recorded_digest(tmp_path, capsys):
+    # P = 1e5 is one prime block; 100500000 is the benchmark's scale: 12
+    # blocks of 2^23, each cleared in pieces, and a partial 13th
     root = Path(__file__).resolve().parents[1]
     refs = json.loads((root / "perfbench" / "references.json").read_text())
-    want = refs["digests"]["report"]["csv=grid_1e6.csv,prime_limit=100000"]["report.json"]
-    out = tmp_path / "report.json"
-    code, _, _ = run_cli(
-        capsys, "report", "--checkpoints", str(root / "perfbench" / "data" / "grid_1e6.csv"),
-        "--prime-limit", "1e5", "--out", str(out),
-    )
-    assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+    for csv, prime_limit in (("grid_1e6.csv", 100000), ("grid_2e6.csv", 100500000)):
+        want = refs["digests"]["report"][f"csv={csv},prime_limit={prime_limit}"]["report.json"]
+        out = tmp_path / f"report_{prime_limit}.json"
+        code, _, _ = run_cli(
+            capsys, "report", "--checkpoints", str(root / "perfbench" / "data" / csv),
+            "--prime-limit", str(prime_limit), "--out", str(out),
+        )
+        assert code == 0, prime_limit
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want, prime_limit
 
 
 @pytest.mark.parametrize("extra", [(), ("--segment-size", "12345", "--threads", "2")])
@@ -615,7 +628,7 @@ def test_bad_tolerance_is_usage_error(capsys, monkeypatch, cmd, value):
         raise AssertionError("checked rows before --tolerance was validated")
 
     monkeypatch.setattr(dirichlet, "dirichlet_lhs", not_yet)
-    monkeypatch.setattr(dirichlet, "local_factor_residual", not_yet)
+    monkeypatch.setattr(dirichlet, "_local_residual", not_yet)
     code, out, err = run_cli(capsys, cmd, f"--tolerance={value}")
     assert code == 2 and out == ""
     assert "--tolerance must be finite and >= 0" in err

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divsum import dirichlet, multiplicative, sums
+from divsum import dirichlet, multiplicative, primes, sums
 from divsum.primes import DEFAULT_BLOCK, MAX_Q, check_q, is_prime, prime_blocks, primes_upto
 
 
@@ -25,14 +25,22 @@ def test_primes_upto_concurrent_mixed_limits():
         assert np.array_equal(primes, fresh[n]), n
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(-3, 50_000), st.integers(1, 2048).map(lambda k: 2 * k))
-def test_prime_blocks_match_primes_upto(limit, block):
-    blocks = list(prime_blocks(limit, block))
-    for primes in blocks:
-        k = int(primes[0]) // block
-        assert primes.dtype == np.int64 and primes.size
-        assert k * block <= primes[0] and primes[-1] < (k + 1) * block
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(-3, 50_000),
+    st.integers(1, 2048).map(lambda k: 2 * k),
+    st.sampled_from([1, 2, 3, 7, 64, primes.PIECE_CELLS]),
+)
+def test_prime_blocks_match_primes_upto(limit, block, piece):
+    # pieces far smaller than a block carry every base prime's offset
+    # across many piece boundaries, and past some of them
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primes, "PIECE_CELLS", piece)
+        blocks = list(prime_blocks(limit, block))
+    for ps in blocks:
+        k = int(ps[0]) // block
+        assert ps.dtype == np.int64 and ps.size
+        assert k * block <= ps[0] and ps[-1] < (k + 1) * block
     got = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
     assert np.array_equal(got, primes_upto(limit))
 
@@ -44,11 +52,14 @@ def test_prime_blocks_rejects_odd_block():
 
 
 def test_prime_blocks_default_block_boundary():
-    # a limit just past the first default block: two blocks, split at 2^23
-    limit = DEFAULT_BLOCK + 1000
-    first, second = prime_blocks(limit)
-    assert first[-1] < DEFAULT_BLOCK <= second[0]
-    assert np.array_equal(np.concatenate([first, second]), primes_upto(limit))
+    # limits just past the first and the second default block, each full
+    # block cleared in DEFAULT_BLOCK // 2 // PIECE_CELLS pieces
+    for limit in (DEFAULT_BLOCK + 1000, 2 * DEFAULT_BLOCK + 12345):
+        blocks = list(prime_blocks(limit))
+        assert len(blocks) == limit // DEFAULT_BLOCK + 1, limit
+        for k, block in enumerate(blocks):
+            assert k * DEFAULT_BLOCK <= block[0] and block[-1] < (k + 1) * DEFAULT_BLOCK
+        assert np.array_equal(np.concatenate(blocks), primes_upto(limit)), limit
 
 
 def test_check_q_accepts_one_and_primes_below_the_bound():
