@@ -1,11 +1,8 @@
 """Command-line front end: one binary, machine-readable output by default.
 
-FLAGS states each shared flag once, in --help order.  Every one of them
-with a default (nine, listed in the README) can be seeded from an
-environment variable with the DIVSUM_ prefix (flag wins over environment,
-environment over built-in default, and a bad value is a usage error either
-way), e.g. DIVSUM_THREADS=8 divsum sum --limit 1e6.  A list flag with no
-values, or an --out that names the --checkpoints file, is a usage error too.
+FLAGS states each shared flag once, in --help order; flags are the only
+configuration.  A list flag with no values, or an --out that names the
+--checkpoints file, is a usage error.
 
 Exit codes: 0 success, 1 verification failure or runtime error, 2 usage.
 """
@@ -19,35 +16,31 @@ import math
 import os
 import random
 import sys
+from fractions import Fraction
 
 from . import analysis, digitset, dirichlet, sums
 from .multiplicative import SCALE_EXP
 from .primes import DEFAULT_Q, primes_upto
-
-ENV_PREFIX = "DIVSUM_"
 
 LOCAL_P_MAX_CAP = 10**7  # verify-local sieves p_max + 1 bytes
 LOCAL_SAMPLES_CAP = 10**6  # verify-local holds one (p, s) row per sample
 LOCAL_ROWS_CAP = (1 << 30) // 650  # 1 GiB of verify-local rows, held to be emitted at 0.64 KiB each
 
 
-def parse_count(text) -> int:
-    """Integer flag values, allowing 1e6-style scientific shorthand."""
-    if isinstance(text, int):
-        return text
-    s = str(text).replace("_", "")
+def parse_count(text: str) -> int:
+    """Integer flag values, allowing 1e6-style scientific shorthand, read exactly."""
+    s = text.replace("_", "")
     try:
         return int(s)
     except ValueError:
-        f = float(s)
-        if not (math.isfinite(f) and f == int(f)):
+        if not math.isfinite(float(s)) or (f := Fraction(s)).denominator != 1:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-        return int(f)
+        return f.numerator
 
 
 def _parse_list(text: str, parse) -> tuple:
     """Comma-separated values, repeats dropped in order of first appearance."""
-    values = tuple(dict.fromkeys(parse(part) for part in str(text).split(",") if part.strip()))
+    values = tuple(dict.fromkeys(parse(part) for part in text.split(",") if part.strip()))
     if not values:
         raise argparse.ArgumentTypeError(f"no values in {text!r}")
     return values
@@ -64,12 +57,6 @@ def _parse_s_grid(text: str) -> tuple[float, ...]:
     return _parse_list(text, float)
 
 
-def _parse_format(text: str) -> str:
-    if text not in ("csv", "json"):  # a type, as argparse applies no choices to defaults
-        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from csv, json)")
-    return text
-
-
 # shared flag -> add_argument kwargs, in --help order
 FLAGS = {
     "limit": {"type": parse_count, "default": 10**6},
@@ -79,7 +66,7 @@ FLAGS = {
     "q": {"type": _parse_q_list, "default": DEFAULT_Q},
     "checkpoints": {"default": "checkpoints.csv"},
     "out": {"default": None},
-    "format": {"type": _parse_format, "metavar": "{csv,json}", "default": "json"},
+    "format": {"choices": ("csv", "json"), "default": "json"},
     "pretty": {"action": "store_true"},
     "seed": {"type": parse_count, "default": 0},
 }
@@ -100,9 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, *names):
         for name, kwargs in FLAGS.items():
             if name in names:
-                if "default" in kwargs:
-                    env = ENV_PREFIX + name.upper().replace("-", "_")
-                    kwargs = {**kwargs, "default": os.environ.get(env, kwargs["default"])}
                 p.add_argument("--" + name, **kwargs)
 
     p = command("classify", _cmd_classify, "digit class and smallest multiple-of-5 witness")
@@ -119,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("sum", _cmd_sum, "run the partial-sum engine, persist checkpoints")
     add_common(p, "limit", "segment-size", "threads", "q", "checkpoints", "out", "pretty")
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--no-refine", action="store_true", help="decades only, no 2x points")
 
     p = command("twisted", _cmd_twisted, "exact twisted sum for one q")
     p.add_argument("--q", dest="q_single", type=parse_count, required=True)
@@ -237,7 +220,6 @@ def _cmd_sum(args) -> int:
     config = sums.EngineConfig(
         limit=args.limit,
         segment_size=args.segment_size,
-        refine_factor2=not args.no_refine,
         q_list=args.q,
         thread_count=args.threads,
         resume_path=args.checkpoints if args.resume else None,

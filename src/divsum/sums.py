@@ -8,9 +8,9 @@ digit classes, and running slice sums give S at every stop inside it; each
 sum shifts left by CELL_SHIFT to SCALE_EXP.  The twisted series needs
 nothing more: the Euler factor at q gives
 sum ratio(q n) n^-s = E(q^-s) sum ratio(n) n^-s with
-E(y) = (1 - y/2)/(1 - y + y^2/2) = sum_k e_k y^k, so
-sum_{n<=m} ratio(q n) = sum_k e_k S(m // q^k), combined in integers at
-scale 2^TWIST_SHIFT.  It is kept at two stops per checkpoint x: m = x//q
+E(y) (1 - y + y^2/2) = 1 - y/2, so T(m) = sum_{n<=m} ratio(q n) obeys
+T(m) = S(m) - S(m//q)/2 + T(m//q) - T(m//q^2)/2, run in integers from the
+deepest stop m // q^k up.  It is kept at two stops per checkpoint x: m = x//q
 (used by the five-multiple split identity) and m = x (used by the
 linear-main-term checks).  Checkpoints end segments; stops need not.
 Every reduction is integer addition, so results are bit-identical for any
@@ -24,7 +24,6 @@ import os
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -42,11 +41,8 @@ from .primes import DEFAULT_Q, check_q
 MAX_LIMIT = 10**9
 DEFAULT_SEGMENT_SIZE = 1 << 20
 MAX_THREADS = 64  # each pool thread holds one segment of up to MAX_SEGMENT_CELLS
-# largest q*limit that twisted_sum accepts
+# largest q*limit that twisted_sum accepts; its one pass sieves to limit
 TWISTED_VALUE_BUDGET = 10**10
-# e_k * 2^TWIST_SHIFT is an integer for k <= 2 * TWIST_SHIFT; a stop
-# m // q^k >= 1 with q * m <= TWISTED_VALUE_BUDGET < 2^34 has k <= 32
-TWIST_SHIFT = 16
 CSV_HEADER = ["x", "scale_exp", "S", "S_A", "S_B", "T_nonA", "count_nonA", "q", "twisted_limit", "twisted"]
 # total numerators stay far below 2^127 for every permitted limit; the guard
 # is kept anyway per the no-silent-wrap policy
@@ -102,7 +98,6 @@ def check_segment_size(segment_size: int) -> None:
 class EngineConfig:
     limit: int
     segment_size: int = DEFAULT_SEGMENT_SIZE
-    refine_factor2: bool = True
     q_list: tuple[int, ...] = DEFAULT_Q
     thread_count: int = 1
     resume_path: str | None = None
@@ -121,13 +116,13 @@ class EngineConfig:
         self.q_list = qs
 
 
-def checkpoint_schedule(limit: int, refine_factor2: bool = True) -> list[int]:
+def checkpoint_schedule(limit: int) -> list[int]:
     """Geometric thresholds: powers of ten, their doubles, and the limit."""
     points = {limit}
     decade = 10
     while decade <= limit:
         points.add(decade)
-        if refine_factor2 and 2 * decade <= limit:
+        if 2 * decade <= limit:
             points.add(2 * decade)
         decade *= 10
     return sorted(points)
@@ -181,23 +176,25 @@ def _twist_stops(q: int, m: int) -> list[int]:
     return stops
 
 
-@cache
-def _twist_weights() -> tuple[int, ...]:
-    """w_k = e_k * 2^TWIST_SHIFT for k <= 2 * TWIST_SHIFT, from e_k = e_{k-1} - e_{k-2}/2."""
-    w = [1 << TWIST_SHIFT, 1 << (TWIST_SHIFT - 1)]
-    while len(w) <= 2 * TWIST_SHIFT:
-        w.append(w[-1] - w[-2] // 2)  # e_{k-2} has denominator below 2^TWIST_SHIFT
-    return tuple(w)
+def _half(v: int, q: int, m: int) -> int:
+    if v & 1:
+        raise EngineInvariantError(f"q={q}, m={m}: halving {v} leaves 1/2")
+    return v >> 1
 
 
 def _twisted_value(q: int, m: int, s_at: dict[int, int]) -> int:
-    """Numerator of sum_{n<=m} ratio(q n) = sum_k e_k S(m // q^k), from S at the stops."""
-    w = _twist_weights()  # indexed, so a stop past the last weight raises IndexError
-    scaled = sum(w[k] * s_at[stop] for k, stop in enumerate(_twist_stops(q, m)))
-    value, rest = divmod(scaled, 1 << TWIST_SHIFT)
-    if rest:
-        raise EngineInvariantError(f"q={q}, m={m}: twisted combination leaves {rest}/2^{TWIST_SHIFT}")
-    return value
+    """Numerator of T(m) = sum_{n<=m} ratio(q n), from S at the stops m // q^k.
+
+    T(m) = S(m) - S(m//q)/2 + T(m//q) - T(m//q^2)/2, T(0) = S(0) = 0, from
+    the deepest stop up; every halving is exact.  For q = 1, T = S.
+    """
+    if q == 1:
+        return s_at[m] if m else 0
+    t = t_below = 0  # T(stop // q) and T(stop // q^2)
+    for stop in reversed(_twist_stops(q, m)):
+        s_next = s_at[stop // q] if stop >= q else 0
+        t, t_below = s_at[stop] - _half(s_next, q, m) + t - _half(t_below, q, m), t
+    return t
 
 
 def twisted_sum(q: int, limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> DyadicValue:
@@ -269,7 +266,7 @@ def accumulate(config: EngineConfig) -> list[Checkpoint]:
     With resume_path set and readable, continues from the largest persisted
     checkpoint; the result is bit-identical to a fresh run.
     """
-    schedule = checkpoint_schedule(config.limit, config.refine_factor2)
+    schedule = checkpoint_schedule(config.limit)
     qs = config.q_list
     resume = config.resume_path and os.path.exists(config.resume_path)
     prior, x0 = _load_resume_state(config, schedule) if resume else ([], 0)

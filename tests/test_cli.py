@@ -22,9 +22,12 @@ def test_parse_count_shorthand():
     assert parse_count("1000000") == 10**6
     assert parse_count("1e6") == 10**6
     assert parse_count("2_000") == 2000
+    # read exactly, not through a float that rounds above 2^53
+    assert parse_count("1234567890123456789e0") == 1234567890123456789
+    assert parse_count("12345678901234567890e-1") == 1234567890123456789
     with pytest.raises(Exception):
         parse_count("1.5")
-    for text in ("1e400", "-1e400", "inf", "nan"):
+    for text in ("1e400", "-1e400", "inf", "nan", "1.2345678901234567891e18"):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_count(text)
 
@@ -44,6 +47,8 @@ def test_classify(capsys):
     code, out, _ = run_cli(capsys, "classify", "50", "--format", "csv")
     assert out.splitlines()[0] == "n,class,witness"
     assert out.splitlines()[1] == "50,multiple-of-5,50"
+    code, out, _ = run_cli(capsys, "classify", "1234567890123456789e0")
+    assert code == 0 and json.loads(out)["n"] == 1234567890123456789
     # classify and its witness share one range, n < 2^64
     code, out, _ = run_cli(capsys, "classify", str((1 << 64) - 1))
     assert code == 0
@@ -57,10 +62,13 @@ def test_count_non_a(capsys):
     assert doc["count"] == 8 and doc["bound_holds"] is True
 
 
-def test_usage_error_exits_2(capsys):
+def test_usage_error_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert run_cli(capsys, "no-such-command")[0] == 2
     assert run_cli(capsys, "classify")[0] == 2
     assert run_cli(capsys, "sum", "--limit", "abc")[0] == 2
+    assert run_cli(capsys, "sum", "--limit", "100", "--no-refine")[0] == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_runtime_error_exits_1(capsys):
@@ -286,27 +294,24 @@ def test_verify_dirichlet_checks_grid_before_sieving(capsys, monkeypatch):
         assert err.startswith("error:"), extra
 
 
-def test_env_overrides(tmp_path, capsys, monkeypatch):
-    cp = str(tmp_path / "env.csv")
-    monkeypatch.setenv("DIVSUM_LIMIT", "200")
-    monkeypatch.setenv("DIVSUM_CHECKPOINTS", cp)
-    monkeypatch.setenv("DIVSUM_Q", "1")
-    code, out, _ = run_cli(capsys, "sum")
+def test_environment_is_not_read(tmp_path, capsys, monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(tmp_path)
+    for name, value in (("LIMIT", "200"), ("FORMAT", "xml"), ("Q", ","), ("CHECKPOINTS", "env.csv")):
+        monkeypatch.setenv("DIVSUM_" + name, value)
+    code, _, _ = run_cli(capsys, "sum", "--limit", "1e4")
     assert code == 0
-    assert json.loads(out)["limit"] == 200
-    assert os.path.exists(cp)
-    # flag beats environment
-    code, out, _ = run_cli(capsys, "sum", "--limit", "100", "--checkpoints", cp)
-    assert json.loads(out)["limit"] == 100
+    # the default schedule and q grid: the rows x <= 10^4 of the recorded 1e6 CSV
+    header, *rows = (root / "perfbench" / "data" / "grid_1e6.csv").read_text().splitlines(keepends=True)
+    want = header + "".join(row for row in rows if int(row.split(",")[0]) <= 10**4)
+    assert (tmp_path / "checkpoints.csv").read_text() == want
 
 
-def test_env_format_is_validated(capsys, monkeypatch):
-    monkeypatch.setenv("DIVSUM_FORMAT", "xml")
-    code, out, err = run_cli(capsys, "classify", "51")
+def test_format_is_validated(capsys):
+    code, out, err = run_cli(capsys, "classify", "51", "--format", "xml")
     assert code == 2 and out == ""
     assert "--format" in err and "xml" in err
-    monkeypatch.setenv("DIVSUM_FORMAT", "csv")
-    code, out, _ = run_cli(capsys, "classify", "51")
+    code, out, _ = run_cli(capsys, "classify", "51", "--format", "csv")
     assert code == 0 and out.splitlines()[0] == "n,class,witness"
 
 
@@ -573,18 +578,17 @@ def test_out_naming_checkpoints_is_usage_error(tmp_path, capsys, monkeypatch, cm
 
 
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv",
     [
-        (["verify-dirichlet", "--q", ","], {}),
-        (["verify-dirichlet", "--q", "1", "--s-grid", ","], {}),
-        (["verify-dirichlet"], {"DIVSUM_Q": ","}),
-        (["verify-local", "--s-grid", ","], {}),
-        (["sum", "--limit", "100", "--q", ""], {}),
-        (["sum", "--limit", "100"], {"DIVSUM_Q": ""}),
-        (["constant", "--prime-limit", "100"], {"DIVSUM_Q": ","}),
+        ["verify-dirichlet", "--q", ","],
+        ["verify-dirichlet", "--q", "1", "--s-grid", ","],
+        ["verify-local", "--s-grid", ","],
+        ["sum", "--limit", "100", "--q", ""],
+        ["constant", "--prime-limit", "100", "--q", ","],
+        ["report", "--prime-limit", "100", "--q", ","],
     ],
 )
-def test_empty_list_is_usage_error(tmp_path, capsys, monkeypatch, argv, env):
+def test_empty_list_is_usage_error(tmp_path, capsys, monkeypatch, argv):
     from divsum import sums
 
     def no_sieve(*args):
@@ -594,8 +598,6 @@ def test_empty_list_is_usage_error(tmp_path, capsys, monkeypatch, argv, env):
     monkeypatch.setattr(dirichlet, "sieve_segment", no_sieve)
     monkeypatch.setattr(cli, "primes_upto", no_sieve)
     monkeypatch.chdir(tmp_path)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "--q" in err or "--s-grid" in err

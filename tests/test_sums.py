@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divsum import digitset
-from divsum.multiplicative import MAX_CELL, MAX_SEGMENT_CELLS, DyadicValue, divisor_ratio, divisor_ratio_brute
+from divsum.multiplicative import CELL_SHIFT, MAX_CELL, MAX_SEGMENT_CELLS, DyadicValue, divisor_ratio, divisor_ratio_brute
 from divsum.primes import is_prime
 from divsum.sums import (
     CheckpointFormatError,
@@ -18,11 +18,8 @@ from divsum.sums import (
     EngineInvariantError,
     CSV_HEADER,
     MAX_THREADS,
-    TWIST_SHIFT,
-    TWISTED_VALUE_BUDGET,
     _cell_sum,
     _twist_stops,
-    _twist_weights,
     _twisted_value,
     accumulate,
     checkpoint_identities,
@@ -46,7 +43,6 @@ def test_schedule():
     assert checkpoint_schedule(1) == [1]
     assert checkpoint_schedule(60) == [10, 20, 60]
     assert checkpoint_schedule(10**4) == [10, 20, 100, 200, 1000, 2000, 10**4]
-    assert checkpoint_schedule(10**4, refine_factor2=False) == [10, 100, 1000, 10**4]
     assert checkpoint_schedule(15) == [10, 15]
 
 
@@ -129,15 +125,16 @@ def _twist_coefficients(count: int) -> list[Fraction]:
     return e[:count]
 
 
-def test_twist_weights_are_scaled_coefficients():
-    # every stop m // 2^k >= 1 that twisted_sum allows (2 m <= budget) has a weight
-    longest = _twist_stops(2, TWISTED_VALUE_BUDGET // 2)
-    assert len(longest) == max(k for k in range(64) if 2 ** (k + 1) <= TWISTED_VALUE_BUDGET) + 1
-    weights = _twist_weights()
-    assert len(weights) >= len(longest)
-    assert [Fraction(w) for w in weights] == [
-        e * 2**TWIST_SHIFT for e in _twist_coefficients(len(weights))
-    ]
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1 << 40, (1 << 46) - 1), data=st.data())
+def test_twisted_value_matches_coefficients(m, data):
+    # q = 2 with 41-46 stops; e_k has denominator 2^ceil(k/2) <= 2^23, so
+    # every value is exact for S in multiples of 2^CELL_SHIFT = 2^25
+    stops = _twist_stops(2, m)
+    values = data.draw(st.lists(st.integers(0, 1 << 40), min_size=len(stops), max_size=len(stops)))
+    s_at = {stop: v << CELL_SHIFT for stop, v in zip(stops, values)}
+    e = _twist_coefficients(len(stops))
+    assert _twisted_value(2, m, s_at) == sum(e[k] * s_at[stop] for k, stop in enumerate(stops))
     # S values that no ratio can produce leave a remainder
     with pytest.raises(EngineInvariantError, match="leaves"):
         _twisted_value(2, 2, {2: 1, 1: 1})
