@@ -1,4 +1,4 @@
-"""Command-line front end: one binary, machine-readable output by default.
+"""Command-line front end: one binary; every command prints one JSON document.
 
 FLAGS states each shared flag once, in --help order; flags are the only
 configuration.  A list flag with no values, or an --out that names the
@@ -10,11 +10,8 @@ Exit codes: 0 success, 1 verification failure or runtime error, 2 usage.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import os
-import random
 import sys
 from fractions import Fraction
 
@@ -23,7 +20,6 @@ from .multiplicative import SCALE_EXP
 from .primes import DEFAULT_Q, primes_upto
 
 LOCAL_P_MAX_CAP = 10**7  # verify-local sieves p_max + 1 bytes
-LOCAL_SAMPLES_CAP = 10**6  # verify-local holds one (p, s) row per sample
 LOCAL_ROWS_CAP = (1 << 30) // 650  # 1 GiB of verify-local rows, held to be emitted at 0.64 KiB each
 
 
@@ -66,9 +62,6 @@ FLAGS = {
     "q": {"type": _parse_q_list, "default": DEFAULT_Q},
     "checkpoints": {"default": "checkpoints.csv"},
     "out": {"default": None},
-    "format": {"choices": ("csv", "json"), "default": "json"},
-    "pretty": {"action": "store_true"},
-    "seed": {"type": parse_count, "default": 0},
 }
 
 
@@ -91,39 +84,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("classify", _cmd_classify, "digit class and smallest multiple-of-5 witness")
     p.add_argument("n", type=parse_count)
-    add_common(p, "out", "format", "pretty")
+    add_common(p, "out")
 
     p = command("count-non-a", _cmd_count_non_a, "exact complement count and its envelope")
     p.add_argument("x", type=parse_count)
-    add_common(p, "out", "format", "pretty")
+    add_common(p, "out")
 
     p = command("constant", _cmd_constant, "Euler product and derived constants")
-    add_common(p, "prime-limit", "q", "out", "pretty")
+    add_common(p, "prime-limit", "q", "out")
 
     p = command("sum", _cmd_sum, "run the partial-sum engine, persist checkpoints")
-    add_common(p, "limit", "segment-size", "threads", "q", "checkpoints", "out", "pretty")
+    add_common(p, "limit", "segment-size", "threads", "q", "checkpoints", "out")
     p.add_argument("--resume", action="store_true")
 
     p = command("twisted", _cmd_twisted, "exact twisted sum for one q")
     p.add_argument("--q", dest="q_single", type=parse_count, required=True)
-    add_common(p, "limit", "segment-size", "out", "format", "pretty")
+    add_common(p, "limit", "segment-size", "out")
 
     p = command("verify-dirichlet", _cmd_verify_dirichlet, "series vs factorization on a grid")
-    add_common(p, "q", "prime-limit", "out", "format", "pretty")
+    add_common(p, "q", "prime-limit", "out")
     p.add_argument("--s-grid", type=_parse_s_grid, default=(1.5, 2.0, 3.0))
     p.add_argument("--terms", type=parse_count, default=10**6)
     p.add_argument("--tolerance", type=float, default=1e-4)
 
     p = command("verify-local", _cmd_verify_local, "local factor identity on a prime grid")
-    add_common(p, "out", "format", "pretty", "seed")
+    add_common(p, "out")
     p.add_argument("--p-max", type=parse_count, default=100)
     p.add_argument("--s-grid", type=_parse_s_grid, default=(0.75, 1.0, 1.5, 2.0, 3.0))
     p.add_argument("--tolerance", type=float, default=1e-12)
-    p.add_argument("--samples", type=parse_count, default=0,
-                   help="extra random (p, s) probes beyond the fixed grid")
 
     p = command("fit", _cmd_fit, "log-log exponent fit from a checkpoint CSV")
-    add_common(p, "checkpoints", "prime-limit", "out", "format", "pretty")
+    add_common(p, "checkpoints", "prime-limit", "out")
     p.add_argument(
         "--quantity",
         default="S",
@@ -146,42 +137,11 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_doc(doc: dict, args) -> None:
-    if args.pretty:
-        width = max(len(k) for k in doc)
-        lines = [f"{k.ljust(width)}  {v}" for k, v in doc.items()]
-        _emit("\n".join(lines) + "\n", args.out)
-    elif getattr(args, "format", "json") == "csv":
-        _emit_rows([doc], args)
-    else:
-        _emit(analysis.render_document(doc), args.out)
-
-
-def _emit_rows(rows: list[dict], args) -> None:
-    if args.pretty and rows:
-        cols = list(rows[0])
-        widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in cols}
-        lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
-        for r in rows:
-            lines.append("  ".join(str(r[c]).ljust(widths[c]) for c in cols))
-        _emit("\n".join(lines) + "\n", args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        if rows:
-            w.writerow(rows[0].keys())
-            for r in rows:
-                w.writerow(["" if v is None else v for v in r.values()])
-        _emit(buf.getvalue(), args.out)
-    else:
-        _emit(analysis.render_document({"rows": rows}), args.out)
-
-
 def _emit_checks(rows: list[dict], failures: list[str], args) -> int:
     """Emit the rows of a verification, FAIL lines on stderr; no rows is a failure."""
     if not rows:
         failures = ["nothing checked"]
-    _emit_rows(rows, args)
+    _emit(analysis.render_document({"rows": rows}), args.out)
     for msg in failures:
         print(f"FAIL: {msg}", file=sys.stderr)
     return 1 if failures else 0
@@ -190,29 +150,21 @@ def _emit_checks(rows: list[dict], failures: list[str], args) -> int:
 def _cmd_classify(args) -> int:
     cls = digitset.classify(args.n)
     witness = digitset.permutation_witness(args.n)
-    _emit_doc({"n": args.n, "class": cls.value, "witness": witness}, args)
+    _emit(analysis.render_document({"n": args.n, "class": cls.value, "witness": witness}), args.out)
     return 0
 
 
 def _cmd_count_non_a(args) -> int:
     count = digitset.count_non_a(args.x)
     bound, holds = digitset.non_a_bound(max(1, args.x))
-    _emit_doc({"x": args.x, "count": count, "bound": bound, "bound_holds": holds}, args)
+    doc = {"x": args.x, "count": count, "bound": bound, "bound_holds": holds}
+    _emit(analysis.render_document(doc), args.out)
     return 0 if holds else 1
 
 
 def _cmd_constant(args) -> int:
     summary = dirichlet.constants_summary(args.prime_limit, args.q)
-    doc = summary
-    if args.pretty:
-        doc = {
-            "prime_limit": summary["prime_limit"],
-            "product": summary["product_value"],
-            "tail_bound": summary["product_tail_bound"],
-            "lemma_constant": summary["lemma_constant"],
-            "theorem_constant": summary["theorem_constant"],
-        }
-    _emit_doc(doc, args)
+    _emit(analysis.render_document(summary), args.out)
     return 0
 
 
@@ -227,34 +179,30 @@ def _cmd_sum(args) -> int:
     checkpoints = sums.accumulate(config)
     sums.save_checkpoints(args.checkpoints, checkpoints)
     last = checkpoints[-1]
-    _emit_doc(
-        {
-            "limit": args.limit,
-            "checkpoints_written": len(checkpoints),
-            "path": args.checkpoints,
-            "S": last.S.to_float(),
-            "S_A": last.S_A.to_float(),
-            "S_B": last.S_B.to_float(),
-            "T_nonA": last.T_nonA.to_float(),
-            "count_nonA": last.count_nonA,
-        },
-        args,
-    )
+    doc = {
+        "limit": args.limit,
+        "checkpoints_written": len(checkpoints),
+        "path": args.checkpoints,
+        "S": last.S.to_float(),
+        "S_A": last.S_A.to_float(),
+        "S_B": last.S_B.to_float(),
+        "T_nonA": last.T_nonA.to_float(),
+        "count_nonA": last.count_nonA,
+    }
+    _emit(analysis.render_document(doc), args.out)
     return 0
 
 
 def _cmd_twisted(args) -> int:
     value = sums.twisted_sum(args.q_single, args.limit, args.segment_size)
-    _emit_doc(
-        {
-            "q": args.q_single,
-            "limit": args.limit,
-            "numerator": value.numerator,
-            "scale_exp": SCALE_EXP,
-            "value": value.to_float(),
-        },
-        args,
-    )
+    doc = {
+        "q": args.q_single,
+        "limit": args.limit,
+        "numerator": value.numerator,
+        "scale_exp": SCALE_EXP,
+        "value": value.to_float(),
+    }
+    _emit(analysis.render_document(doc), args.out)
     return 0
 
 
@@ -296,18 +244,11 @@ def _cmd_verify_dirichlet(args) -> int:
 def _cmd_verify_local(args) -> int:
     if args.p_max > LOCAL_P_MAX_CAP:
         raise ValueError(f"--p-max must be at most {LOCAL_P_MAX_CAP} (got {args.p_max})")
-    if not 0 <= args.samples <= LOCAL_SAMPLES_CAP:
-        raise ValueError(f"--samples must be in [0, {LOCAL_SAMPLES_CAP}] (got {args.samples})")
     dirichlet.check_local_grid(args.s_grid, "--s-grid")  # all of the grid, before its first row
     primes = primes_upto(args.p_max)
-    if (rows := len(primes) * len(args.s_grid) + args.samples) > LOCAL_ROWS_CAP:
-        raise ValueError(f"primes x --s-grid + --samples must be at most {LOCAL_ROWS_CAP} rows (got {rows})")
+    if (rows := len(primes) * len(args.s_grid)) > LOCAL_ROWS_CAP:
+        raise ValueError(f"primes x --s-grid must be at most {LOCAL_ROWS_CAP} rows (got {rows})")
     grid = [(int(p), s) for p in primes for s in args.s_grid]
-    if args.samples:
-        rng = random.Random(args.seed)
-        pool = [int(p) for p in primes_upto(10**4)]
-        for _ in range(args.samples):
-            grid.append((rng.choice(pool), rng.uniform(0.75, 3.0)))
     rows = []
     failures = []
     for p, s in grid:
@@ -325,11 +266,9 @@ def _cmd_fit(args) -> int:
     if quantity == "count_nonA":
         points = [(cp.x, cp.count_nonA) for cp in checkpoints]
         fit = analysis.fit_error_exponent(points)
-        _emit_doc(
-            {"quantity": quantity, "slope": fit.slope, "intercept": fit.intercept,
-             "points_used": fit.points_used, "excluded_points": fit.excluded_points},
-            args,
-        )
+        doc = {"quantity": quantity, "slope": fit.slope, "intercept": fit.intercept,
+               "points_used": fit.points_used, "excluded_points": fit.excluded_points}
+        _emit(analysis.render_document(doc), args.out)
         return 0
     slope = args.slope
     q = None
@@ -346,17 +285,15 @@ def _cmd_fit(args) -> int:
         slope = constants["theorem_constant"] if quantity == "S_B" else constants["slopes"][str(q or 1)]
     rows = analysis.compare_main_term(checkpoints, slope, quantity, q=q)
     fit = analysis.fit_error_exponent([(r.x, abs(r.residual)) for r in rows])
-    _emit_doc(
-        {
-            "quantity": args.quantity,
-            "slope_used": slope,
-            "error_exponent": fit.slope,
-            "intercept": fit.intercept,
-            "points_used": fit.points_used,
-            "excluded_points": fit.excluded_points,
-        },
-        args,
-    )
+    doc = {
+        "quantity": args.quantity,
+        "slope_used": slope,
+        "error_exponent": fit.slope,
+        "intercept": fit.intercept,
+        "points_used": fit.points_used,
+        "excluded_points": fit.excluded_points,
+    }
+    _emit(analysis.render_document(doc), args.out)
     return 0
 
 

@@ -40,7 +40,7 @@ RHS_PRIME_LIMIT = 10**5  # plenty for the series checks (tail <= 1e-10 at s>=1.5
 FAST_PATH_PRIME_CAP = 1 << 31
 HEAD_PRIME_LIMIT = 1 << 12  # primes up to here are multiplied in mpmath
 HEAD_PREC = 128  # bits of the head product and of head * exp(tail)
-LHS_TERM_CAP = 10**8
+LHS_TERM_CAP = 10**8  # dirichlet_lhs sieves [1, terms]
 LHS_CHUNK = 1 << 20  # integers n sieved per step of the series sum
 
 # Units of 2^-53 relative error per tail term on top of the bit length of
@@ -191,12 +191,10 @@ def theorem_constant(c1: ProductEstimate) -> tuple[float, list[float]]:
 
 
 def _check_lhs(q_list, s_grid, terms: int) -> None:
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    if not 1 <= terms <= LHS_TERM_CAP:
+        raise ValueError(f"terms must be in [1, {LHS_TERM_CAP}] (got {terms})")
     for q in q_list:
         check_q(q)
-        if q * terms > LHS_TERM_CAP:
-            raise ValueError(f"q * terms exceeds budget {LHS_TERM_CAP} (got q={q})")
     if bad := [s for s in s_grid if not s > 1]:
         raise ValueError(f"s must exceed 1 (got {bad[0]})")
 

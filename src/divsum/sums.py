@@ -38,11 +38,9 @@ from .multiplicative import (
 )
 from .primes import DEFAULT_Q, check_q
 
-MAX_LIMIT = 10**9
+MAX_LIMIT = 10**9  # largest limit of sum and of twisted_sum, which both sieve [1, limit]
 DEFAULT_SEGMENT_SIZE = 1 << 20
 MAX_THREADS = 64  # each pool thread holds one segment of up to MAX_SEGMENT_CELLS
-# largest q*limit that twisted_sum accepts; its one pass sieves to limit
-TWISTED_VALUE_BUDGET = 10**10
 CSV_HEADER = ["x", "scale_exp", "S", "S_A", "S_B", "T_nonA", "count_nonA", "q", "twisted_limit", "twisted"]
 # total numerators stay far below 2^127 for every permitted limit; the guard
 # is kept anyway per the no-silent-wrap policy
@@ -200,10 +198,8 @@ def _twisted_value(q: int, m: int, s_at: dict[int, int]) -> int:
 def twisted_sum(q: int, limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> DyadicValue:
     """Exact sum_{n<=limit} ratio(q n), from S at the stops limit // q^k of one pass."""
     check_q(q)
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
-    if q * limit > TWISTED_VALUE_BUDGET:
-        raise ValueError(f"q*limit exceeds budget {TWISTED_VALUE_BUDGET}")
+    if not 0 <= limit <= MAX_LIMIT:
+        raise ValueError(f"limit must be in [0, {MAX_LIMIT}] (got {limit})")
     check_segment_size(segment_size)
     s_at = _pass([0, limit], sorted(_twist_stops(q, limit)), segment_size, classes=False)[1]
     return DyadicValue(_twisted_value(q, limit, s_at))

@@ -44,9 +44,8 @@ def test_classify(capsys):
     assert doc == {"n": 51, "class": "B", "witness": "15"}
     code, out, _ = run_cli(capsys, "classify", "7")
     assert json.loads(out)["witness"] is None
-    code, out, _ = run_cli(capsys, "classify", "50", "--format", "csv")
-    assert out.splitlines()[0] == "n,class,witness"
-    assert out.splitlines()[1] == "50,multiple-of-5,50"
+    code, out, _ = run_cli(capsys, "classify", "50")
+    assert json.loads(out) == {"n": 50, "class": "multiple-of-5", "witness": "50"}
     code, out, _ = run_cli(capsys, "classify", "1234567890123456789e0")
     assert code == 0 and json.loads(out)["n"] == 1234567890123456789
     # classify and its witness share one range, n < 2^64
@@ -127,11 +126,11 @@ def test_sum_twisted_fit_report_flow(tmp_path, capsys):
 
 
 def test_verify_local(capsys):
-    code, out, _ = run_cli(capsys, "verify-local", "--p-max", "50", "--format", "csv")
+    code, out, _ = run_cli(capsys, "verify-local", "--p-max", "50")
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "p,s,residual,within_tolerance"
-    assert all(line.endswith("True") for line in lines[1:])
+    rows = json.loads(out)["rows"]
+    assert list(rows[0]) == ["p", "s", "residual", "within_tolerance"]
+    assert all(r["within_tolerance"] is True for r in rows)
 
 
 def test_verify_local_refuses_oversize_p_max_before_sieving(capsys, monkeypatch):
@@ -142,17 +141,6 @@ def test_verify_local_refuses_oversize_p_max_before_sieving(capsys, monkeypatch)
     code, out, err = run_cli(capsys, "verify-local", "--p-max", "1e12")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "--p-max" in err
-
-
-def test_verify_local_refuses_oversize_samples_before_grid(capsys, monkeypatch):
-    def no_sieve(limit):
-        raise AssertionError("built the grid for an oversize --samples")
-
-    monkeypatch.setattr(cli, "primes_upto", no_sieve)
-    for samples in ("1e10", "-1"):
-        code, out, err = run_cli(capsys, "verify-local", "--samples", samples)
-        assert code == 1 and out == "", samples
-        assert err.startswith("error: --samples must be in [0, 1000000]"), samples
 
 
 @pytest.mark.parametrize("grid", ["inf", "1,-inf", "nan", "2,0.5", "0.4"])
@@ -187,13 +175,13 @@ def test_verify_local_refuses_oversize_row_count_before_any_row(capsys, monkeypa
     # 664579 primes below 10^7 times 3 values of s
     code, out, err = run_cli(capsys, "verify-local", "--p-max", "1e7", "--s-grid", "1,2,3")
     assert code == 1 and out == ""
-    assert err == f"error: primes x --s-grid + --samples must be at most {cli.LOCAL_ROWS_CAP} rows (got 1993737)\n"
-    # at the cap exactly: 25 primes to 100 times 5 values of s
+    assert err == f"error: primes x --s-grid must be at most {cli.LOCAL_ROWS_CAP} rows (got 1993737)\n"
+    # at the cap exactly: 25 primes to 100 times 5 values of s; 101 is the 26th
     monkeypatch.undo()
     monkeypatch.setattr(cli, "LOCAL_ROWS_CAP", 125)
     assert run_cli(capsys, "verify-local", "--p-max", "100")[0] == 0
-    code, out, err = run_cli(capsys, "verify-local", "--p-max", "100", "--samples", "1")
-    assert code == 1 and out == "" and "(got 126)" in err
+    code, out, err = run_cli(capsys, "verify-local", "--p-max", "101")
+    assert code == 1 and out == "" and "(got 130)" in err
 
 
 def test_failed_rational_identity_is_one_error_line(tmp_path, capsys, monkeypatch):
@@ -220,17 +208,6 @@ def test_verify_local_takes_its_primes_as_prime(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["rows"]
 
 
-def test_verify_local_with_samples_seeded(capsys):
-    code1, out1, _ = run_cli(
-        capsys, "verify-local", "--p-max", "10", "--samples", "20", "--seed", "123"
-    )
-    code2, out2, _ = run_cli(
-        capsys, "verify-local", "--p-max", "10", "--samples", "20", "--seed", "123"
-    )
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
 def test_verify_dirichlet_small(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -251,12 +228,12 @@ def test_verify_dirichlet_small(capsys):
 
 
 def test_verify_dirichlet_drops_repeated_grid_values(capsys):
-    base = ["verify-dirichlet", "--terms", "1e3", "--prime-limit", "1e3", "--format", "csv"]
+    base = ["verify-dirichlet", "--terms", "1e3", "--prime-limit", "1e3"]
     _, repeated, _ = run_cli(capsys, *base, "--q", "1,2,3,5,7,5", "--s-grid", "1.5,2,3,2")
     _, distinct, _ = run_cli(capsys, *base, "--q", "1,2,3,5,7", "--s-grid", "1.5,2,3")
     assert repeated == distinct
-    rows = [line.split(",")[:2] for line in repeated.splitlines()[1:]]
-    assert rows == [[q, s] for q in "12357" for s in ("1.5", "2.0", "3.0")]
+    rows = [[r["q"], r["s"]] for r in json.loads(repeated)["rows"]]
+    assert rows == [[q, s] for q in (1, 2, 3, 5, 7) for s in (1.5, 2.0, 3.0)]
 
 
 def test_verify_dirichlet_failure_exit(capsys):
@@ -285,7 +262,7 @@ def test_verify_dirichlet_checks_grid_before_sieving(capsys, monkeypatch):
         ["--s-grid", "nan"],
         ["--terms", "0"],
         ["--q", "1,6"],
-        ["--q", "1,5", "--terms", "3e7"],
+        ["--terms", "2e8"],
         ["--prime-limit", "1"],
     ):
         argv = ["verify-dirichlet", "--q", "1", "--s-grid", "2", "--terms", "2e7", *extra]
@@ -305,20 +282,6 @@ def test_environment_is_not_read(tmp_path, capsys, monkeypatch):
     header, *rows = (root / "perfbench" / "data" / "grid_1e6.csv").read_text().splitlines(keepends=True)
     want = header + "".join(row for row in rows if int(row.split(",")[0]) <= 10**4)
     assert (tmp_path / "checkpoints.csv").read_text() == want
-
-
-def test_format_is_validated(capsys):
-    code, out, err = run_cli(capsys, "classify", "51", "--format", "xml")
-    assert code == 2 and out == ""
-    assert "--format" in err and "xml" in err
-    code, out, _ = run_cli(capsys, "classify", "51", "--format", "csv")
-    assert code == 0 and out.splitlines()[0] == "n,class,witness"
-
-
-def test_pretty_output(capsys):
-    code, out, _ = run_cli(capsys, "classify", "107", "--pretty")
-    assert code == 0
-    assert "B" in out and "witness" in out
 
 
 def test_resume_with_smaller_limit_refuses(tmp_path, capsys):
@@ -351,6 +314,19 @@ def test_oversize_segment_rejected_before_sieving(tmp_path, capsys, monkeypatch)
     )
     assert code == 1 and "segment_size" in err
     assert not cp.exists()
+
+
+def test_twisted_limit_above_sum_cap_refused_before_sieving(capsys, monkeypatch):
+    from divsum import sums
+
+    def no_sieve(lo, hi):
+        raise AssertionError("sieved an oversize twisted limit")
+
+    # twisted sieves [1, limit], as sum does, so both take limit <= MAX_LIMIT
+    monkeypatch.setattr(sums, "sieve_segment", no_sieve)
+    code, out, err = run_cli(capsys, "twisted", "--q", "1", "--limit", "2e9")
+    assert code == 1 and out == ""
+    assert err == f"error: limit must be in [0, {sums.MAX_LIMIT}] (got 2000000000)\n"
 
 
 @pytest.mark.parametrize("size", ["0", "-5"])
@@ -424,10 +400,9 @@ def test_fit_slope_is_the_report_constant(capsys):
     ):
         code, out, _ = run_cli(
             capsys, "fit", "--checkpoints", csv_path, "--prime-limit", "1e5", "--quantity", quantity,
-            "--format", "csv",
         )
         assert code == 0, quantity
-        slope = float(out.splitlines()[1].split(",")[1])  # full precision in csv
+        slope = json.loads(out)["slope_used"]
         assert float(format(slope, ".15g")) == want, quantity
 
 
@@ -500,35 +475,15 @@ def test_sum_1e6_matches_recorded_grid_csv(tmp_path, capsys, extra):
 
 PINNED_OUTPUTS = [
     (["classify", "51"], '{\n  "n": 51,\n  "class": "B",\n  "witness": "15"\n}\n'),
-    (["classify", "51", "--format", "csv"], "n,class,witness\n51,B,15\n"),
-    (["classify", "51", "--pretty"], "n        51\nclass    B\nwitness  15\n"),
     (
         ["count-non-a", "1e6"],
         '{\n  "x": 1000000,\n  "count": 299592,\n  "bound": 2396745.14285714,\n'
         '  "bound_holds": true\n}\n',
     ),
     (
-        ["count-non-a", "1e6", "--format", "csv"],
-        "x,count,bound,bound_holds\n1000000,299592,2396745.1428571376,True\n",
-    ),
-    (
-        ["count-non-a", "1e6", "--pretty"],
-        "x            1000000\ncount        299592\nbound        2396745.1428571376\n"
-        "bound_holds  True\n",
-    ),
-    (
         ["twisted", "--q", "5", "--limit", "1e5"],
         '{\n  "q": 5,\n  "limit": 100000,\n  "numerator": 671932601073664,\n'
         '  "scale_exp": 32,\n  "value": 156446.5\n}\n',
-    ),
-    (
-        ["twisted", "--q", "5", "--limit", "1e5", "--format", "csv"],
-        "q,limit,numerator,scale_exp,value\n5,100000,671932601073664,32,156446.5\n",
-    ),
-    (
-        ["twisted", "--q", "5", "--limit", "1e5", "--pretty"],
-        "q          5\nlimit      100000\nnumerator  671932601073664\nscale_exp  32\n"
-        "value      156446.5\n",
     ),
     (
         ["sum", "--limit", "1e4", "--checkpoints", "s.csv"],
@@ -537,17 +492,16 @@ PINNED_OUTPUTS = [
         '  "count_nonA": 4680\n}\n',
     ),
     (
-        ["sum", "--limit", "1e4", "--checkpoints", "s.csv", "--pretty"],
-        "limit                10000\ncheckpoints_written  7\npath                 s.csv\n"
-        "S                    14205.125\nS_A                  7713.0\n"
-        "S_B                  4619.875\nT_nonA               6492.125\n"
-        "count_nonA           4680\n",
-    ),
-    (
-        ["constant", "--prime-limit", "1e4", "--pretty"],
-        "prime_limit       10000\nproduct           0.8679153593901392\n"
-        "tail_bound        0.0001\nlemma_constant    1.4276635418016617\n"
-        "theorem_constant  1.1142739838451994\n",
+        ["constant", "--prime-limit", "1e4"],
+        '{\n  "s": 1,\n  "prime_limit": 10000,\n  "product_value": 0.867915359390139,\n'
+        '  "product_tail_bound": 0.0001,\n  "product_interval": [\n    0.867828563514479,\n'
+        '    0.8680021552658\n  ],\n  "lemma_constant": 1.42766354180166,\n'
+        '  "lemma_constant_interval": [\n    1.42752076830893,\n    1.4278063152944\n  ],\n'
+        '  "theorem_constant": 1.1142739838452,\n  "theorem_constant_interval": [\n'
+        '    1.11416255087526,\n    1.11438541681514\n  ],\n'
+        '  "rational_identity_16_over_123": true,\n  "slopes": {\n    "1": 1.42766354180166,\n'
+        '    "2": 1.71319625016199,\n    "3": 1.64730408669422,\n    "5": 1.56694778978231,\n'
+        '    "7": 1.52843979181119\n  }\n}\n',
     ),
 ]
 
@@ -609,17 +563,36 @@ def test_nothing_checked_is_a_failure(capsys):
     assert code == 1
     assert json.loads(out) == {"rows": []}
     assert err == "FAIL: nothing checked\n"
-    code, out, err = run_cli(capsys, "verify-local", "--p-max", "1", "--samples", "2")
+    code, out, err = run_cli(capsys, "verify-local", "--p-max", "3", "--s-grid", "2")
     assert code == 0 and len(json.loads(out)["rows"]) == 2
 
 
-def test_report_refuses_pretty(tmp_path, capsys):
-    code, out, err = run_cli(
-        capsys, "report", "--checkpoints", str(tmp_path / "none.csv"), "--prime-limit", "100",
-        "--pretty",
-    )
+# every command prints its one JSON document: these flags chose another
+# rendering or added random probes, and no command takes them now
+REMOVED_FLAGS = [
+    *(
+        (argv, ["--pretty"])
+        for argv in (["classify", "51"], ["count-non-a", "10"], ["constant"], ["sum"],
+                     ["twisted", "--q", "5"], ["verify-dirichlet"], ["verify-local"], ["fit"],
+                     ["report"])
+    ),
+    *(
+        (argv, ["--format", "csv"])
+        for argv in (["classify", "51"], ["count-non-a", "10"], ["twisted", "--q", "5"],
+                     ["verify-dirichlet"], ["verify-local"], ["fit"])
+    ),
+    (["verify-local"], ["--samples", "1"]),
+    (["verify-local"], ["--seed", "1"]),
+]
+
+
+@pytest.mark.parametrize("argv, flag", REMOVED_FLAGS, ids=[f"{a[0]} {f[0]}" for a, f in REMOVED_FLAGS])
+def test_removed_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, *flag)
     assert code == 2 and out == ""
-    assert "unrecognized arguments: --pretty" in err
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("cmd", ["verify-dirichlet", "verify-local"])

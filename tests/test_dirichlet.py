@@ -264,6 +264,10 @@ def test_lhs_rejects():
         dirichlet_lhs((1,), (2.0, 1.0), 100)
     with pytest.raises(ValueError):
         dirichlet_lhs((1,), (2.0,), 0)
+    # the cap bounds the terms sieved, whatever q is
+    with pytest.raises(ValueError, match=rf"terms must be in \[1, {dirichlet.LHS_TERM_CAP}\]"):
+        dirichlet_lhs((1,), (2.0,), dirichlet.LHS_TERM_CAP + 1)
+    dirichlet.check_series_grid((7,), (2.0,), 2 * 10**7, 100)
 
 
 def test_constants_summary_keys():

@@ -17,6 +17,7 @@ from divsum.sums import (
     EngineConfig,
     EngineInvariantError,
     CSV_HEADER,
+    MAX_LIMIT,
     MAX_THREADS,
     _cell_sum,
     _twist_stops,
@@ -112,6 +113,9 @@ def test_twisted_rejects():
         twisted_sum(1, -1)
     with pytest.raises(ValueError):
         twisted_sum(7, 10**10)
+    # one pass sieves [1, limit], so limit has the engine's cap
+    with pytest.raises(ValueError, match=rf"limit must be in \[0, {MAX_LIMIT}\]"):
+        twisted_sum(1, MAX_LIMIT + 1)
     for size in (0, -5, MAX_SEGMENT_CELLS + 1):
         with pytest.raises(ValueError, match=rf"segment_size must be in \[1, {MAX_SEGMENT_CELLS}\]"):
             twisted_sum(1, 10, segment_size=size)
