@@ -284,6 +284,14 @@ def test_environment_is_not_read(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "checkpoints.csv").read_text() == want
 
 
+def test_format_is_validated(capsys):
+    # output is always JSON, so every --format value, csv included, is refused
+    for value in ("xml", "csv"):
+        code, out, err = run_cli(capsys, "classify", "51", "--format", value)
+        assert code == 2 and out == ""
+        assert "--format" in err and value in err
+
+
 def test_resume_with_smaller_limit_refuses(tmp_path, capsys):
     cp = str(tmp_path / "cp.csv")
     assert run_cli(capsys, "sum", "--limit", "1000", "--checkpoints", cp)[0] == 0
