@@ -20,7 +20,6 @@ from .dirichlet import (
 )
 from .multiplicative import (
     SCALE_EXP,
-    DyadicValue,
     divisor_count,
     divisor_ratio,
     divisor_ratio_brute,

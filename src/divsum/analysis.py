@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import digitset
+from .multiplicative import to_float
 from .sums import Checkpoint, checkpoint_identities
 
 NORMALIZATION_EXPONENT = 0.6
@@ -65,13 +66,13 @@ def quantity_values(
     values = []
     for cp in sorted(checkpoints, key=lambda c: c.x):
         if quantity in _QUANTITIES:
-            value = getattr(cp, quantity).to_float()
+            value = to_float(getattr(cp, quantity))
         elif quantity == "twisted":
             if q is None:
                 raise ValueError("twisted comparison needs q")
             if cp.x not in cp.twisted.get(q, {}):
                 raise ValueError(f"checkpoint x={cp.x} has no twisted series for q={q}")
-            value = cp.twisted[q][cp.x].to_float()
+            value = to_float(cp.twisted[q][cp.x])
         else:
             raise ValueError(f"unknown quantity {quantity!r}")
         values.append((cp.x, value))

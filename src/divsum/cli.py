@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import analysis, digitset, dirichlet, sums
-from .multiplicative import SCALE_EXP
+from .multiplicative import SCALE_EXP, to_float
 from .primes import DEFAULT_Q, primes_upto
 
 LOCAL_P_MAX_CAP = 10**7  # verify-local sieves p_max + 1 bytes
@@ -183,10 +183,10 @@ def _cmd_sum(args) -> int:
         "limit": args.limit,
         "checkpoints_written": len(checkpoints),
         "path": args.checkpoints,
-        "S": last.S.to_float(),
-        "S_A": last.S_A.to_float(),
-        "S_B": last.S_B.to_float(),
-        "T_nonA": last.T_nonA.to_float(),
+        "S": to_float(last.S),
+        "S_A": to_float(last.S_A),
+        "S_B": to_float(last.S_B),
+        "T_nonA": to_float(last.T_nonA),
         "count_nonA": last.count_nonA,
     }
     _emit(analysis.render_document(doc), args.out)
@@ -198,9 +198,9 @@ def _cmd_twisted(args) -> int:
     doc = {
         "q": args.q_single,
         "limit": args.limit,
-        "numerator": value.numerator,
+        "numerator": value,
         "scale_exp": SCALE_EXP,
-        "value": value.to_float(),
+        "value": to_float(value),
     }
     _emit(analysis.render_document(doc), args.out)
     return 0

@@ -2,17 +2,17 @@
 
 The ratio is multiplicative with value (k+1)/2 at a prime power p^k, so any
 value for n < 2^64 is a dyadic rational with denominator at most 2^15.  All
-sums of ratios are therefore accumulated exactly as integers at a fixed
-power-of-two scale (SCALE_EXP), which keeps parallel reductions
-order-independent and bit-for-bit reproducible.  The segmented sieve (wheel
-tile, strides up to top^(1/4), vector steps above) yields int32 cells
-ratio(n) * 2^CELL_EXP, which a left shift by CELL_SHIFT takes to that scale;
-d(n) and omega(n) are computed only per n, by factorize and the oracle.
+sums of ratios are therefore accumulated exactly as plain int numerators at a
+fixed power-of-two scale 2^SCALE_EXP, which keeps parallel reductions
+order-independent and bit-for-bit reproducible; to_float converts one.  The
+segmented sieve (wheel tile, strides up to top^(1/4), vector steps above)
+yields int32 cells ratio(n) * 2^CELL_EXP, which a left shift by CELL_SHIFT
+takes to that scale; d(n) and omega(n) are computed only per n, by factorize
+and the oracle, each giving the ratio as an exact Fraction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, count
@@ -39,38 +39,9 @@ BRUTE_FORCE_LIMIT = 10**7
 Factorization = list[tuple[int, int]]
 
 
-@dataclass(frozen=True, order=True)
-class DyadicValue:
-    """Exact rational numerator / 2^SCALE_EXP with integer arithmetic only."""
-
-    numerator: int
-
-    def __add__(self, other: "DyadicValue") -> "DyadicValue":
-        return DyadicValue(self.numerator + other.numerator)
-
-    def __sub__(self, other: "DyadicValue") -> "DyadicValue":
-        return DyadicValue(self.numerator - other.numerator)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, 1 << SCALE_EXP)
-
-    def to_float(self) -> float:
-        # one rounding step: float(numerator) then exact power-of-two scale
-        return float(self.numerator) * 2.0 ** (-SCALE_EXP)
-
-    @classmethod
-    def zero(cls) -> "DyadicValue":
-        return cls(0)
-
-    @classmethod
-    def from_ratio(cls, d: int, omega: int) -> "DyadicValue":
-        """Exact d / 2^omega at the global scale; requires omega <= SCALE_EXP."""
-        if omega > SCALE_EXP:
-            raise OverflowError(f"omega={omega} exceeds scale 2^{SCALE_EXP}")
-        return cls(d << (SCALE_EXP - omega))
-
-    def __repr__(self):
-        return f"DyadicValue({self.numerator}/2^{SCALE_EXP})"
+def to_float(numerator: int) -> float:
+    """numerator / 2^SCALE_EXP in one rounding step: float(numerator), then an exact power-of-two scale."""
+    return float(numerator) * 2.0 ** (-SCALE_EXP)
 
 
 def factorize(n: int) -> Factorization:
@@ -109,13 +80,13 @@ def unitary_divisor_count(factors: Factorization) -> int:
     return 1 << len(factors)
 
 
-def divisor_ratio(n: int) -> DyadicValue:
+def divisor_ratio(n: int) -> Fraction:
     """Exact d(n) / 2^omega(n), the multiplicative ratio of divisor counts."""
     factors = factorize(n)
-    return DyadicValue.from_ratio(divisor_count(factors), len(factors))
+    return Fraction(divisor_count(factors), unitary_divisor_count(factors))
 
 
-def divisor_ratio_brute(n: int) -> DyadicValue:
+def divisor_ratio_brute(n: int) -> Fraction:
     """Independent oracle: count divisors and unitary divisors directly.
 
     Pure trial division over d <= sqrt(n) with a gcd test per divisor pair;
@@ -138,10 +109,7 @@ def divisor_ratio_brute(n: int) -> DyadicValue:
         d += 1
         if gcd(i, i) == 1:
             unitary += 1
-    num = (d << SCALE_EXP) // unitary
-    if num * unitary != d << SCALE_EXP:
-        raise ArithmeticError(f"non-dyadic ratio for n={n}: {d}/{unitary}")
-    return DyadicValue(num)
+    return Fraction(d, unitary)
 
 
 def _stride_levels(num: np.ndarray, lo: int, top: int, p: int, e: int) -> None:

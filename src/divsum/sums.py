@@ -1,8 +1,9 @@
 """Exact partial-sum engine for the divisor ratio over digit classes.
 
-One sieve pass over (x0, limit] accumulates, as exact scaled integers, the
-total sum S, the restricted sums S_A / S_B, the complement sum T_nonA, the
-complement count and, for each q, the twisted series sum_{n<=m} ratio(q n).
+One sieve pass over (x0, limit] accumulates the total sum S, the restricted
+sums S_A / S_B, the complement sum T_nonA, the complement count and, for
+each q, the twisted series sum_{n<=m} ratio(q n).  Each sum is kept, passed
+and persisted as its plain int numerator at scale 2^SCALE_EXP.
 Per segment digitset.class_sums reduces the sieved int32 cells over the
 digit classes, and running slice sums give S at every stop inside it; each
 sum shifts left by CELL_SHIFT to SCALE_EXP.  The twisted series needs
@@ -24,6 +25,7 @@ import os
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from .multiplicative import (
     MAX_CELL,
     MAX_SEGMENT_CELLS,
     SCALE_EXP,
-    DyadicValue,
     sieve_segment,
 )
 from .primes import DEFAULT_Q, check_q
@@ -42,8 +43,8 @@ MAX_LIMIT = 10**9  # largest limit of sum and of twisted_sum, which both sieve [
 DEFAULT_SEGMENT_SIZE = 1 << 20
 MAX_THREADS = 64  # each pool thread holds one segment of up to MAX_SEGMENT_CELLS
 CSV_HEADER = ["x", "scale_exp", "S", "S_A", "S_B", "T_nonA", "count_nonA", "q", "twisted_limit", "twisted"]
-# total numerators stay far below 2^127 for every permitted limit; the guard
-# is kept anyway per the no-silent-wrap policy
+# every numerator the engine makes stays far below 2^127 for every permitted
+# limit; a read refuses one that does not, before any float conversion
 NUMERATOR_CAP = 1 << 127
 
 
@@ -59,31 +60,24 @@ class EngineInvariantError(AssertionError):
 class Checkpoint:
     """Exact partial-sum snapshot at threshold x.
 
-    twisted maps q -> {stop m -> sum_{n<=m} ratio(q n)}; for each emitted
-    checkpoint both m = x//q and m = x are present.
+    S, S_A, S_B, T_nonA and the twisted values are the int numerators of
+    the sums at scale 2^SCALE_EXP, as persisted.  twisted maps
+    q -> {stop m -> sum_{n<=m} ratio(q n)}; for each emitted checkpoint
+    both m = x//q and m = x are present.
     """
 
     x: int
-    S: DyadicValue
-    S_A: DyadicValue
-    S_B: DyadicValue
-    T_nonA: DyadicValue
+    S: int
+    S_A: int
+    S_B: int
+    T_nonA: int
     count_nonA: int
-    twisted: dict[int, dict[int, DyadicValue]] = field(default_factory=dict)
+    twisted: dict[int, dict[int, int]] = field(default_factory=dict)
 
     @property
     def core(self) -> tuple[int, int, int, int, int]:
-        """Numerators of (S, S_A, S_B, T_nonA) and count_nonA, as persisted."""
-        sums = (self.S, self.S_A, self.S_B, self.T_nonA)
-        return (*(v.numerator for v in sums), self.count_nonA)
-
-
-def _checkpoint(x: int, core, twisted: dict[int, dict[int, int]]) -> Checkpoint:
-    """Checkpoint from numerators: core = (S, S_A, S_B, T_nonA, count_nonA)."""
-    *sums, count_non_a = core
-    s_all, s_a, s_b, t_non = (DyadicValue(v) for v in sums)
-    stops = {q: {m: DyadicValue(v) for m, v in sorted(tw.items())} for q, tw in twisted.items()}
-    return Checkpoint(x, s_all, s_a, s_b, t_non, count_non_a, stops)
+        """(S, S_A, S_B, T_nonA, count_nonA), as persisted."""
+        return self.S, self.S_A, self.S_B, self.T_nonA, self.count_nonA
 
 
 def check_segment_size(segment_size: int) -> None:
@@ -195,14 +189,14 @@ def _twisted_value(q: int, m: int, s_at: dict[int, int]) -> int:
     return t
 
 
-def twisted_sum(q: int, limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> DyadicValue:
-    """Exact sum_{n<=limit} ratio(q n), from S at the stops limit // q^k of one pass."""
+def twisted_sum(q: int, limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
+    """Numerator of sum_{n<=limit} ratio(q n), from S at the stops limit // q^k of one pass."""
     check_q(q)
     if not 0 <= limit <= MAX_LIMIT:
         raise ValueError(f"limit must be in [0, {MAX_LIMIT}] (got {limit})")
     check_segment_size(segment_size)
     s_at = _pass([0, limit], sorted(_twist_stops(q, limit)), segment_size, classes=False)[1]
-    return DyadicValue(_twisted_value(q, limit, s_at))
+    return _twisted_value(q, limit, s_at)
 
 
 def _load_resume_state(config: EngineConfig, schedule: list[int]):
@@ -241,19 +235,20 @@ def checkpoint_identities(cp: Checkpoint) -> dict[str, bool | None]:
     five = cp.twisted.get(5, {}).get(cp.x // 5)
     return {
         "sum_split_exact": s_all == s_a + t_non,
-        "five_split_exact": None if five is None else s_a - s_b == five.numerator,
+        "five_split_exact": None if five is None else s_a - s_b == five,
         "non_a_count_matches": count_non_a == digitset.count_non_a(cp.x),
     }
 
 
 def _validate_checkpoint(cp: Checkpoint) -> None:
+    values = chain(cp.core[:4], *(tw.values() for tw in cp.twisted.values()))
+    if any(abs(v) >= NUMERATOR_CAP for v in values):
+        raise OverflowError(f"x={cp.x}: numerator exceeds 128 bits")
+    if cp.S < cp.x << SCALE_EXP:
+        raise EngineInvariantError(f"x={cp.x}: mean ratio below 1")
     failed = [name for name, ok in checkpoint_identities(cp).items() if ok is False]
     if failed:
         raise EngineInvariantError(f"x={cp.x}: {', '.join(failed)} fails")
-    if cp.S.numerator < cp.x << SCALE_EXP:
-        raise EngineInvariantError(f"x={cp.x}: mean ratio below 1")
-    if abs(cp.S.numerator) >= NUMERATOR_CAP:
-        raise OverflowError(f"x={cp.x}: numerator exceeds 128 bits")
 
 
 def accumulate(config: EngineConfig) -> list[Checkpoint]:
@@ -272,7 +267,7 @@ def accumulate(config: EngineConfig) -> list[Checkpoint]:
     # checkpoints, one pass over [1, largest stop at or below x0 that they
     # lack], and the main pass over (x0, limit]
     stops = {m for x in new_points for q in qs for m in _twist_stops(q, x)}
-    s_at = {cp.x: cp.S.numerator for cp in prior}
+    s_at = {cp.x: cp.S for cp in prior}
     below = sorted(m for m in stops if m <= x0 and m not in s_at)
     above = sorted(m for m in stops if m > x0)
     with ThreadPoolExecutor(config.thread_count) as pool:
@@ -285,7 +280,7 @@ def accumulate(config: EngineConfig) -> list[Checkpoint]:
         s_at.update(s_new)
 
     new = [
-        _checkpoint(x, at[x], {q: {m: _twisted_value(q, m, s_at) for m in _checkpoint_stops(q, x)} for q in qs})
+        Checkpoint(x, *at[x], {q: {m: _twisted_value(q, m, s_at) for m in _checkpoint_stops(q, x)} for q in qs})
         for x in new_points
     ]
     for cp in new:  # load_checkpoints has checked the prior ones
@@ -307,7 +302,7 @@ def save_checkpoints(path: str, checkpoints: list[Checkpoint]) -> None:
             for cp in sorted(checkpoints, key=lambda c: c.x):
                 for q in sorted(cp.twisted):
                     for m in sorted(cp.twisted[q]):
-                        w.writerow([cp.x, SCALE_EXP, *cp.core, q, m, cp.twisted[q][m].numerator])
+                        w.writerow([cp.x, SCALE_EXP, *cp.core, q, m, cp.twisted[q][m]])
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -330,6 +325,8 @@ def load_checkpoints(path: str) -> list[Checkpoint]:
             x, scale, *core, q, m, tw = (int(v) for v in row)
         except ValueError:
             raise CheckpointFormatError(f"{path}: line {i}: non-integer field") from None
+        if x < 1:
+            raise CheckpointFormatError(f"{path}: line {i}: x must be >= 1 (got {x})")
         if scale != SCALE_EXP:
             raise CheckpointFormatError(
                 f"{path}: line {i}: scale_exp {scale} != engine scale {SCALE_EXP}"
@@ -343,7 +340,7 @@ def load_checkpoints(path: str) -> list[Checkpoint]:
                 f"{path}: line {i}: conflicting twisted value for (x={x}, q={q}, m={m})"
             )
         rec["twisted"][q][m] = tw
-    out = [_checkpoint(x, by_x[x]["core"], by_x[x]["twisted"]) for x in sorted(by_x)]
+    out = [Checkpoint(x, *by_x[x]["core"], by_x[x]["twisted"]) for x in sorted(by_x)]
     for cp in out:
         try:
             _validate_checkpoint(cp)

@@ -11,15 +11,13 @@ from divsum.analysis import (
     render_document,
     report,
 )
-from divsum.multiplicative import DyadicValue
 from divsum.sums import Checkpoint, EngineConfig, accumulate
 
 
 def synthetic_checkpoint(x, s_value):
-    v = DyadicValue(int(s_value * 2**32))
-    zero = DyadicValue.zero()
+    v = int(s_value * 2**32)
     return Checkpoint(
-        x=x, S=v, S_A=zero, S_B=zero, T_nonA=v, count_nonA=0,
+        x=x, S=v, S_A=0, S_B=0, T_nonA=v, count_nonA=0,
         twisted={1: {x: v}},
     )
 

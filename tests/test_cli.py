@@ -511,15 +511,47 @@ PINNED_OUTPUTS = [
         '    "2": 1.71319625016199,\n    "3": 1.64730408669422,\n    "5": 1.56694778978231,\n'
         '    "7": 1.52843979181119\n  }\n}\n',
     ),
+    # fit reads grid.csv, a copy of perfbench/data/grid_1e6.csv
+    (
+        ["fit", "--checkpoints", "grid.csv", "--quantity", "twisted:5", "--slope", "1.5"],
+        '{\n  "quantity": "twisted:5",\n  "slope_used": 1.5,\n  "error_exponent": 1.00946405869748,\n'
+        '  "intercept": -3.09310028153116,\n  "points_used": 11,\n  "excluded_points": 0\n}\n',
+    ),
+    (
+        ["fit", "--checkpoints", "grid.csv", "--quantity", "count_nonA"],
+        '{\n  "quantity": "count_nonA",\n  "slope": 0.910921308531188,\n'
+        '  "intercept": 0.0523318716909173,\n  "points_used": 11,\n  "excluded_points": 0\n}\n',
+    ),
 ]
 
 
 @pytest.mark.parametrize("argv, want", PINNED_OUTPUTS, ids=[" ".join(a) for a, _ in PINNED_OUTPUTS])
 def test_stdout_is_pinned(tmp_path, capsys, monkeypatch, argv, want):
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "grid.csv").write_bytes((root / "perfbench" / "data" / "grid_1e6.csv").read_bytes())
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == want
+
+
+@pytest.mark.parametrize("cmd", [["report", "--prime-limit", "1e3"], ["fit", "--slope", "1.4"]])
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ("0,32,0,0,0,0,0,1,0,0", "line 2: x must be >= 1 (got 0)"),
+        # every identity holds, but S_A, S_B and T_nonA are far beyond 2^127
+        (f"1,32,{1 << 32},{-10**400},{-10**400},{(1 << 32) + 10**400},1,1,1,{1 << 32}",
+         "checkpoint x=1: numerator exceeds 128 bits"),
+    ],
+    ids=["x=0", "numerator"],
+)
+def test_out_of_range_checkpoint_is_one_error_line(tmp_path, capsys, cmd, row, error):
+    cp = tmp_path / "bad.csv"
+    cp.write_text("x,scale_exp,S,S_A,S_B,T_nonA,count_nonA,q,twisted_limit,twisted\n" + row + "\n")
+    code, out, err = run_cli(capsys, *cmd, "--checkpoints", str(cp))
+    assert code == 1 and out == ""
+    assert err == f"error: {cp}: {error}\n"
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from divsum.multiplicative import (
     MAX_SIEVE_VALUE,
     SCALE_EXP,
     WHEEL_PERIOD,
-    DyadicValue,
     divisor_count,
     divisor_ratio,
     divisor_ratio_brute,
@@ -76,21 +75,21 @@ def test_divisor_count_matches_enumeration():
 
 
 def test_ratio_examples():
-    assert divisor_ratio(1).as_fraction() == 1
-    assert divisor_ratio(12).as_fraction() == Fraction(3, 2)
-    assert divisor_ratio(8).as_fraction() == 2  # (k+1)/2 at k=3
+    assert divisor_ratio(1) == 1
+    assert divisor_ratio(12) == Fraction(3, 2)
+    assert divisor_ratio(8) == 2  # (k+1)/2 at k=3
 
 
 def test_prime_power_ratio():
     for p in (2, 3, 7, 101):
         for k in range(1, 8):
-            assert divisor_ratio(p**k).as_fraction() == Fraction(k + 1, 2)
+            assert divisor_ratio(p**k) == Fraction(k + 1, 2)
 
 
 def test_brute_examples():
-    assert divisor_ratio_brute(1).as_fraction() == 1
-    assert divisor_ratio_brute(60).as_fraction() == Fraction(3, 2)
-    assert divisor_ratio_brute(49).as_fraction() == Fraction(3, 2)
+    assert divisor_ratio_brute(1) == 1
+    assert divisor_ratio_brute(60) == Fraction(3, 2)
+    assert divisor_ratio_brute(49) == Fraction(3, 2)
 
 
 def test_oracle_equivalence_small():
@@ -113,8 +112,8 @@ def test_multiplicativity_random_coprime_pairs():
         n = rng.randrange(2, 10**5)
         if gcd(m, n) != 1 or m * n > 10**9:
             continue
-        lhs = divisor_ratio(m * n).as_fraction()
-        rhs = divisor_ratio(m).as_fraction() * divisor_ratio(n).as_fraction()
+        lhs = divisor_ratio(m * n)
+        rhs = divisor_ratio(m) * divisor_ratio(n)
         assert lhs == rhs, (m, n)
         checked += 1
 
@@ -122,7 +121,7 @@ def test_multiplicativity_random_coprime_pairs():
 def test_squarefree_characterization():
     for n in range(1, 20_000):
         squarefree = all(e == 1 for _, e in factorize(n))
-        assert (divisor_ratio(n).as_fraction() == 1) == squarefree, n
+        assert (divisor_ratio(n) == 1) == squarefree, n
 
 
 def test_ratio_and_divisor_bounds():
@@ -131,19 +130,7 @@ def test_ratio_and_divisor_bounds():
         n = rng.randrange(1, 10**9)
         f = factorize(n)
         assert divisor_count(f) <= 2 * isqrt(n) + 1
-        num = DyadicValue.from_ratio(divisor_count(f), len(f))
-        assert num.as_fraction() >= 1
-
-
-def test_dyadic_arithmetic():
-    a = DyadicValue.from_ratio(3, 1)  # 3/2
-    b = DyadicValue.from_ratio(1, 0)  # 1
-    assert (a + b).as_fraction() == Fraction(5, 2)
-    assert (a - b).as_fraction() == Fraction(1, 2)
-    assert a.to_float() == 1.5
-    assert DyadicValue.zero().numerator == 0
-    with pytest.raises(OverflowError):
-        DyadicValue.from_ratio(1, SCALE_EXP + 1)
+        assert divisor_count(f) >= unitary_divisor_count(f)
 
 
 def _numerators(cells: np.ndarray) -> np.ndarray:
@@ -152,17 +139,22 @@ def _numerators(cells: np.ndarray) -> np.ndarray:
     return cells.astype(np.int64) << CELL_SHIFT
 
 
-def _sieve_ratios(lo: int, hi: int) -> list[DyadicValue]:
+def _ratio(numerator: int) -> Fraction:
+    """The ratio of a numerator at scale 2^SCALE_EXP."""
+    return Fraction(numerator, 1 << SCALE_EXP)
+
+
+def _sieve_ratios(lo: int, hi: int) -> list[Fraction]:
     nums = _numerators(sieve_segment(lo, hi))
     assert nums.size == hi - lo
-    return [DyadicValue(int(v)) for v in nums]
+    return [_ratio(int(v)) for v in nums]
 
 
 def test_sieve_examples():
-    ratios = [v.as_fraction() for v in _sieve_ratios(1, 11)]
+    ratios = _sieve_ratios(1, 11)
     assert ratios == [1, 1, 1, Fraction(3, 2), 1, 1, 1, 2, Fraction(3, 2), 1]
     # 10^6 = 2^6 5^6: d = 49, omega = 2
-    assert _sieve_ratios(10**6, 10**6 + 3)[0] == DyadicValue.from_ratio(49, 2)
+    assert _sieve_ratios(10**6, 10**6 + 3)[0] == Fraction(49, 4)
     assert _sieve_ratios(5, 5) == []
 
 
@@ -176,7 +168,7 @@ def test_sieve_matches_factorize_on_segments():
         ratios = _sieve_ratios(lo, hi)
         for i in range(0, hi - lo, 7):
             f = factorize(lo + i)
-            assert ratios[i] == DyadicValue.from_ratio(divisor_count(f), len(f)), lo + i
+            assert ratios[i] == Fraction(divisor_count(f), unitary_divisor_count(f)), lo + i
     # the last cell is a prime square, so p = isqrt(hi - 1) must be strided
     for p in (2, 3, 7, 1_048_573):
         lo, hi = max(1, p * p - 3), p * p + 1
@@ -351,7 +343,7 @@ def test_sieve_concurrent_mixed_windows():
 def test_segment_numerators_match_pointwise():
     nums = _numerators(sieve_segment(100, 600))
     for i in (0, 7, 499):
-        assert DyadicValue(int(nums[i])) == divisor_ratio(100 + i)
+        assert _ratio(int(nums[i])) == divisor_ratio(100 + i)
 
 
 def test_twisted_ratio_numerators():
@@ -361,7 +353,7 @@ def test_twisted_ratio_numerators():
         got.extend(int(v) for v in _numerators(twisted_ratio_numerators(5, lo, nums)))
     assert len(got) == 123
     for i, v in enumerate(got, start=1):
-        assert DyadicValue(v) == divisor_ratio(5 * i), i
+        assert _ratio(v) == divisor_ratio(5 * i), i
     with pytest.raises(ValueError):
         twisted_ratio_numerators(4, 1, sieve_segment(1, 9))
 
@@ -420,7 +412,7 @@ def test_twisted_ratio_sum_matches_numerators(window):
 def test_twisted_ratio_sum_examples():
     nums = _numerators(sieve_segment(1, 1025))  # every level of q = 2 up to 2^10
     for q in (1, 2, 3, 5, 7, 11, 13):
-        expected = sum(divisor_ratio(q * n).numerator for n in range(1, 1025))
+        expected = sum(divisor_ratio(q * n) for n in range(1, 1025)) * (1 << SCALE_EXP)
         assert int(nums.sum()) + _reference_twisted_gain(q, 1, nums) == expected, q
     assert _reference_twisted_gain(7, 10**6, _numerators(sieve_segment(10**6, 10**6))) == 0
     with pytest.raises(ValueError):
@@ -439,4 +431,4 @@ def test_twisted_sum_matches_reference_gain_at_1e7():
         for q in want:
             want[q] += int(num.sum()) + _reference_twisted_gain(q, lo, num)
     for q, value in want.items():
-        assert twisted_sum(q, limit).numerator == value, q
+        assert twisted_sum(q, limit) == value, q

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divsum import digitset
-from divsum.multiplicative import CELL_SHIFT, MAX_CELL, MAX_SEGMENT_CELLS, DyadicValue, divisor_ratio, divisor_ratio_brute
+from divsum.multiplicative import CELL_SHIFT, MAX_CELL, MAX_SEGMENT_CELLS, SCALE_EXP, divisor_ratio, divisor_ratio_brute
 from divsum.primes import is_prime
 from divsum.sums import (
     CheckpointFormatError,
@@ -31,6 +31,13 @@ from divsum.sums import (
 )
 
 PROPERTY_MAX_LIMIT = 3000
+ONE = 1 << SCALE_EXP  # the numerator of 1
+
+
+def _numerator(ratio: Fraction) -> int:
+    """The numerator of a dyadic ratio at scale 2^SCALE_EXP."""
+    assert (ratio * ONE).denominator == 1, ratio
+    return int(ratio * ONE)
 
 GOLDEN_LIMIT10_Q15 = (
     "x,scale_exp,S,S_A,S_B,T_nonA,count_nonA,q,twisted_limit,twisted\n"
@@ -67,42 +74,37 @@ def test_config_validation():
 
 def test_accumulate_limit_10():
     cp = accumulate(EngineConfig(limit=10))[-1]
-    assert cp.S.as_fraction() == 12
-    assert cp.S_A.as_fraction() == 2
-    assert cp.S_B.as_fraction() == 0
-    assert cp.T_nonA.as_fraction() == 10
+    assert cp.S == 12 * ONE
+    assert cp.S_A == 2 * ONE
+    assert cp.S_B == 0
+    assert cp.T_nonA == 10 * ONE
     assert cp.count_nonA == 8
 
 
 def test_accumulate_limit_60_b_sum():
     cp = accumulate(EngineConfig(limit=60))[-1]
-    assert cp.S_B.as_fraction() == Fraction(21, 2)
+    assert cp.S_B == Fraction(21, 2) * ONE
 
 
 def test_accumulate_limit_1():
     cp = accumulate(EngineConfig(limit=1))[-1]
-    assert cp.S.as_fraction() == 1
-    assert cp.S_A.as_fraction() == 0
-    assert cp.S_B.as_fraction() == 0
-    assert cp.T_nonA.as_fraction() == 1
+    assert cp.S == ONE
+    assert cp.S_A == 0
+    assert cp.S_B == 0
+    assert cp.T_nonA == ONE
 
 
 def test_twisted_examples():
-    assert twisted_sum(5, 4).as_fraction() == Fraction(9, 2)
-    assert twisted_sum(1, 10).as_fraction() == 12
-    assert twisted_sum(7, 0).as_fraction() == 0
+    assert twisted_sum(5, 4) == Fraction(9, 2) * ONE
+    assert twisted_sum(1, 10) == 12 * ONE
+    assert twisted_sum(7, 0) == 0
 
 
 def test_twisted_sieve_path_matches_naive():
-    from divsum.multiplicative import divisor_ratio
-
     for q in (1, 3, 7):
         limit = 2500
         got = twisted_sum(q, limit, segment_size=512)
-        want = DyadicValue.zero()
-        for n in range(1, limit + 1):
-            want = want + divisor_ratio(q * n)
-        assert got == want
+        assert got == sum(_numerator(divisor_ratio(q * n)) for n in range(1, limit + 1))
         assert got == twisted_sum(q, limit)  # chunking must not matter
 
 
@@ -149,7 +151,7 @@ def _ratio_prefix() -> list[int]:
     """prefix[m] = sum_{n<=m} ratio(n) numerators, by factorizing each n."""
     prefix = [0]
     for n in range(1, PROPERTY_MAX_LIMIT + 1):
-        prefix.append(prefix[-1] + divisor_ratio(n).numerator)
+        prefix.append(prefix[-1] + _numerator(divisor_ratio(n)))
     return prefix
 
 
@@ -159,7 +161,7 @@ def _ratio_prefix() -> list[int]:
     m=st.integers(0, PROPERTY_MAX_LIMIT),
 )
 def test_twisted_series_is_combination_of_stops(q, m):
-    want = sum(divisor_ratio(q * n).numerator for n in range(1, m + 1))
+    want = sum(_numerator(divisor_ratio(q * n)) for n in range(1, m + 1))
     s_prefix = _ratio_prefix()
     stops = _twist_stops(q, m)
     assert stops == [m // q**k for k in range(len(stops))] and all(stops)
@@ -171,9 +173,9 @@ def test_twisted_series_is_combination_of_stops(q, m):
 def test_exact_identities_at_checkpoints():
     cps = accumulate(EngineConfig(limit=10**4))
     for cp in cps:
-        assert cp.S.numerator == cp.S_A.numerator + cp.T_nonA.numerator
-        assert cp.S_A.numerator - cp.S_B.numerator == cp.twisted[5][cp.x // 5].numerator
-        assert cp.S.numerator >= cp.x << 32
+        assert cp.S == cp.S_A + cp.T_nonA
+        assert cp.S_A - cp.S_B == cp.twisted[5][cp.x // 5]
+        assert cp.S >= cp.x << 32
         assert cp.count_nonA == digitset.count_non_a(cp.x)
         # twisted series at q=1 reproduces the total sum
         assert cp.twisted[1][cp.x] == cp.S
@@ -192,7 +194,7 @@ def test_against_naive_loop():
     want = {cp.x: cp for cp in cps}
     s = sa = sb = t = cnt = 0
     for n in range(1, limit + 1):
-        v = divisor_ratio_brute(n).numerator
+        v = _numerator(divisor_ratio_brute(n))
         s += v
         cls = digitset.classify(n)
         if cls is digitset.DigitClass.NON_A:
@@ -204,10 +206,10 @@ def test_against_naive_loop():
                 sb += v
         if n in want:
             cp = want[n]
-            assert cp.S.numerator == s
-            assert cp.S_A.numerator == sa
-            assert cp.S_B.numerator == sb
-            assert cp.T_nonA.numerator == t
+            assert cp.S == s
+            assert cp.S_A == sa
+            assert cp.S_B == sb
+            assert cp.T_nonA == t
             assert cp.count_nonA == cnt
 
 
@@ -254,10 +256,10 @@ def test_failed_save_keeps_previous_file(tmp_path):
     p = tmp_path / "cp.csv"
     save_checkpoints(str(p), cps)
     before = p.read_bytes()
-    # the last checkpoint's value is unwritable, so the writer raises after
-    # the rows of every earlier checkpoint have gone out
-    broken = replace(cps[-1], twisted={1: {200: None}})
-    with pytest.raises(AttributeError):
+    # the last checkpoint's stops cannot be sorted, so the writer raises
+    # after the rows of every earlier checkpoint have gone out
+    broken = replace(cps[-1], twisted={1: {200: 0, None: 0}})
+    with pytest.raises(TypeError):
         save_checkpoints(str(p), [*cps[:-1], broken])
     assert p.read_bytes() == before
     assert [f.name for f in tmp_path.iterdir()] == ["cp.csv"]
@@ -324,14 +326,29 @@ def test_load_refuses_failed_identity(tmp_path, column, x, q, m, identity):
     assert str(err.value) == f"{p}: checkpoint x={x}: {identity} fails"
 
 
-def test_load_refuses_checkpoint_below_the_mean_ratio_bound(tmp_path):
-    # every identity holds, but S(10) = 9 < 10 although every ratio is >= 1
-    p = tmp_path / "low.csv"
-    s, s_a, t_non = 9 << 32, 1 << 32, 8 << 32
-    p.write_text(",".join(CSV_HEADER) + f"\n10,32,{s},{s_a},0,{t_non},8,1,10,{s}\n")
+HUGE = 10**400  # a numerator far beyond NUMERATOR_CAP = 2^127
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        (["0,32,0,0,0,0,0,1,0,0"], "line 2: x must be >= 1 (got 0)"),
+        (["-1,32,0,0,0,0,0,1,0,0"], "line 2: x must be >= 1 (got -1)"),
+        # every identity holds, but S_A, S_B and T_nonA are out of range
+        ([f"1,32,{ONE},{-HUGE},{-HUGE},{ONE + HUGE},1,1,1,{ONE}"], "checkpoint x=1: numerator exceeds 128 bits"),
+        ([f"1,32,{ONE},0,0,{ONE},1,5,0,0", f"1,32,{ONE},0,0,{ONE},1,5,1,{-(1 << 127)}"],
+         "checkpoint x=1: numerator exceeds 128 bits"),
+        # every identity holds, but S(10) = 9 < 10 although every ratio is >= 1
+        ([f"10,32,{9 * ONE},{ONE},0,{8 * ONE},8,1,10,{9 * ONE}"], "checkpoint x=10: mean ratio below 1"),
+    ],
+    ids=["x=0", "x<0", "core-numerator", "twisted-numerator", "mean-ratio"],
+)
+def test_load_refuses_out_of_range_checkpoint(tmp_path, rows, error):
+    p = tmp_path / "bad.csv"
+    p.write_text("\n".join([",".join(CSV_HEADER), *rows]) + "\n")
     with pytest.raises(CheckpointFormatError) as err:
         load_checkpoints(str(p))
-    assert str(err.value) == f"{p}: checkpoint x=10: mean ratio below 1"
+    assert str(err.value) == f"{p}: {error}"
 
 
 def test_checkpoint_identities_without_q5():
@@ -399,7 +416,7 @@ def _brute_twisted_prefix(q: int) -> list[int]:
     """prefix[m] = sum_{n<=m} ratio(q n) numerators, by divisor enumeration."""
     prefix = [0]
     for n in range(1, PROPERTY_MAX_LIMIT + 1):
-        prefix.append(prefix[-1] + divisor_ratio_brute(q * n).numerator)
+        prefix.append(prefix[-1] + _numerator(divisor_ratio_brute(q * n)))
     return prefix
 
 
@@ -438,8 +455,8 @@ def test_twisted_stops_and_resume_match_brute_force(qs, limit, segment_size, thr
         for cp in resumed:
             assert set(cp.twisted[q]) == {cp.x // q, cp.x}
             for m, value in cp.twisted[q].items():
-                assert value.numerator == want[m], (q, cp.x, m)
-        assert twisted_sum(q, limit, segment_size).numerator == want[limit]
+                assert value == want[m], (q, cp.x, m)
+        assert twisted_sum(q, limit, segment_size) == want[limit]
 
 
 def test_cell_sum_is_exact_for_the_largest_cells():
