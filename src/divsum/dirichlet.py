@@ -14,8 +14,11 @@ The partial product itself is split at HEAD_PRIME_LIMIT.  The head
 primes are multiplied in mpmath at 128 bits; above them each factor
 contributes t_p = log1p(-x^2/2 + x^3/2), x = p^{-s}, summed in float64
 per fixed prime block, and the block sums are combined exactly by fsum
-in ascending order.  The float64 rounding of that tail is bounded
-explicitly (ProductEstimate.rounding_bound).
+in ascending order.  A block's terms are computed in place, TAIL_CHUNK
+primes at a time, into one reused buffer, with the operations of
+log1p(x * x * (x - 1) * 0.5) in their order, and summed by one np.sum.
+The float64 rounding of that tail is bounded explicitly
+(ProductEstimate.rounding_bound).
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ HEAD_PRIME_LIMIT = 1 << 12  # primes up to here are multiplied in mpmath
 HEAD_PREC = 128  # bits of the head product and of head * exp(tail)
 LHS_TERM_CAP = 10**8  # dirichlet_lhs sieves [1, terms]
 LHS_CHUNK = 1 << 20  # integers n sieved per step of the series sum
+TAIL_CHUNK = 1 << 14  # tail primes per step of the float64 terms: 128 KiB of x, and of terms, stay in L2
 
 # Units of 2^-53 relative error per tail term on top of the bit length of
 # the largest block: numpy's pairwise sum rounds a term at most 24 times
@@ -100,11 +104,23 @@ def euler_product_C(s: float, prime_limit: int) -> ProductEstimate:
     _check_prime_limit(prime_limit)
     s = float(s)
     block_sums, largest = [], 0
+    chunk, terms = np.empty(TAIL_CHUNK), np.empty(0)
     for block in prime_blocks(prime_limit):
         p = block[np.searchsorted(block, HEAD_PRIME_LIMIT, side="right") :]
-        x = p.astype(np.float64) ** -s
-        block_sums.append(float(np.sum(np.log1p(x * x * (x - 1.0) * 0.5))))
+        if terms.size < p.size:
+            terms = np.empty(p.size)
+        for a in range(0, p.size, TAIL_CHUNK):
+            x = chunk[: min(TAIL_CHUNK, p.size - a)]
+            x[:] = p[a : a + x.size]
+            x **= -s  # as p ** -s: numpy takes its reciprocal at s = 1 either way
+            t = np.multiply(x, x, out=terms[a : a + x.size])
+            x -= 1.0
+            t *= x
+            t *= 0.5
+            np.log1p(t, out=t)
+        block_sums.append(float(np.sum(terms[: p.size])))  # one pairwise sum per block, as the bound assumes
         largest = max(largest, p.size)
+        del block, p  # the for target would keep this block alive while the next is sieved
     tail = math.fsum(block_sums)  # every term is <= 0, so |tail| = sum |t_p|
     with mp.workprec(HEAD_PREC):
         ss = mpf(s)

@@ -249,6 +249,15 @@ def _validate_checkpoint(cp: Checkpoint) -> None:
     failed = [name for name, ok in checkpoint_identities(cp).items() if ok is False]
     if failed:
         raise EngineInvariantError(f"x={cp.x}: {', '.join(failed)} fails")
+    # ratio(q n) / ratio(n) is 1 for q = 1 and in [1, 3/2] for a prime q, so
+    # T_q(x) lies in [S, 3S/2] and above T_q(x//q); kept out of the report keys
+    for q, tw in cp.twisted.items():
+        if (t := tw.get(cp.x)) is None:
+            continue
+        if q == 1 and t != cp.S:
+            raise EngineInvariantError(f"x={cp.x}: twisted q=1 at m=x differs from S")
+        if not (cp.S <= t and 2 * t <= 3 * cp.S and tw.get(cp.x // q, 0) <= t):
+            raise EngineInvariantError(f"x={cp.x}: twisted q={q} at m=x is outside [S, 3S/2] or below m=x//q")
 
 
 def accumulate(config: EngineConfig) -> list[Checkpoint]:
@@ -330,6 +339,14 @@ def load_checkpoints(path: str) -> list[Checkpoint]:
         if scale != SCALE_EXP:
             raise CheckpointFormatError(
                 f"{path}: line {i}: scale_exp {scale} != engine scale {SCALE_EXP}"
+            )
+        try:
+            check_q(q)
+        except ValueError as e:
+            raise CheckpointFormatError(f"{path}: line {i}: {e}") from None
+        if m not in _checkpoint_stops(q, x):
+            raise CheckpointFormatError(
+                f"{path}: line {i}: twisted_limit {m} is neither x//q nor x (x={x}, q={q})"
             )
         rec = by_x.setdefault(x, {"core": core, "twisted": {}})
         if rec["core"] != core:

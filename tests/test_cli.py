@@ -554,6 +554,40 @@ def test_out_of_range_checkpoint_is_one_error_line(tmp_path, capsys, cmd, row, e
     assert err == f"error: {cp}: {error}\n"
 
 
+def _q4_rows(rows):
+    """A q = 4 row at every x of the recorded CSV, after its 99 own rows."""
+    return rows + [[*r[:7], "4", str(int(r[0]) // 4), "12345"] for r in rows[1:] if r[7] == "1"]
+
+
+def _raised_rows(rows):
+    """The q = 1 and q = 7 values at m = x = 10^6 raised by 10^6 * 2^32."""
+    return [
+        [*r[:9], str(int(r[9]) + 10**6 * 2**32)] if r[0] == r[8] == "1000000" and r[7] in ("1", "7") else r
+        for r in rows
+    ]
+
+
+@pytest.mark.parametrize(
+    "cmd", [["report", "--prime-limit", "1e3"], ["fit", "--quantity", "twisted:1", "--slope", "1.4276"]]
+)
+@pytest.mark.parametrize(
+    "mutate, error",
+    [
+        (_q4_rows, "line 101: q must be 1 or prime (got 4)"),
+        (_raised_rows, "checkpoint x=1000000: twisted q=1 at m=x differs from S"),
+    ],
+    ids=["q=4-row", "raised-twisted"],
+)
+def test_bad_twisted_rows_of_recorded_csv_are_one_error_line(tmp_path, capsys, cmd, mutate, error):
+    root = Path(__file__).resolve().parents[1]
+    rows = [line.split(",") for line in (root / "perfbench" / "data" / "grid_1e6.csv").read_text().splitlines()]
+    cp = tmp_path / "bad.csv"
+    cp.write_text("".join(",".join(r) + "\n" for r in mutate(rows)))
+    code, out, err = run_cli(capsys, *cmd, "--checkpoints", str(cp))
+    assert code == 1 and out == ""
+    assert err == f"error: {cp}: {error}\n"
+
+
 @pytest.mark.parametrize(
     "cmd", [["sum", "--limit", "1e4"], ["fit", "--slope", "1.4"], ["report", "--prime-limit", "1e3"]]
 )

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from divsum import dirichlet
@@ -17,7 +19,7 @@ from divsum.dirichlet import (
     theorem_constant,
     zeta_real,
 )
-from divsum.primes import primes_upto
+from divsum.primes import DEFAULT_BLOCK, primes_upto
 
 
 def zeta3_oracle_bracket(n=20_000):
@@ -98,6 +100,60 @@ def test_product_tail_matches_mpmath_loop():
             assert e.rounding_bound < 1e-15, s
             lo, hi = e.interval()
             assert lo <= exact <= hi, s
+
+
+def _one_expression_product(s, prime_limit):
+    """The product with each block's float64 terms as one numpy expression over a new array.
+
+    The blocks are primes_upto(prime_limit) split at the multiples of
+    DEFAULT_BLOCK; the head, the fsum and both bounds are as in euler_product_C.
+    """
+    primes = primes_upto(prime_limit)
+    cuts = np.searchsorted(primes, range(DEFAULT_BLOCK, prime_limit + 1, DEFAULT_BLOCK))
+    block_sums, largest = [], 0
+    for block in np.split(primes, cuts):
+        p = block[block > dirichlet.HEAD_PRIME_LIMIT]
+        x = p.astype(np.float64) ** -s
+        block_sums.append(float(np.sum(np.log1p(x * x * (x - 1.0) * 0.5))))
+        largest = max(largest, p.size)
+    tail = math.fsum(block_sums)
+    with mpmath.mp.workprec(dirichlet.HEAD_PREC):
+        product = mpmath.mpf(1)
+        for p in primes[primes <= dirichlet.HEAD_PRIME_LIMIT].tolist():
+            x = mpmath.mpf(p) ** -mpmath.mpf(s)
+            product *= 1 - x * x / 2 + x * x * x / 2
+        product *= mpmath.exp(tail)
+        value = float(product)
+        value_lo = float(product - value)
+    return dirichlet.ProductEstimate(
+        s=s,
+        prime_limit=prime_limit,
+        value=value,
+        value_lo=value_lo,
+        tail_bound=prime_limit ** (1.0 - 2.0 * s) / (2.0 * s - 1.0),
+        rounding_bound=(largest.bit_length() + 40) * 2.0**-53 * abs(tail) + 2.0**-100,
+    )
+
+
+@pytest.mark.parametrize("prime_limit", [10**4, DEFAULT_BLOCK + 1000, 2 * DEFAULT_BLOCK + 12345])
+@pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 3.7])
+def test_product_is_bit_identical_to_one_expression_per_block(s, prime_limit):
+    # the chunked, in-place float tail rounds every term and every block
+    # sum as the one expression does, so every field is equal, not close
+    assert euler_product_C(s, prime_limit) == _one_expression_product(s, prime_limit)
+
+
+def test_product_working_set_is_bounded():
+    # one reused flag buffer, one reused terms buffer and no block kept
+    # past the next: about 13 MiB here, where holding every temporary of
+    # two blocks took 21 MiB
+    tracemalloc.start()
+    try:
+        euler_product_C(1.0, 2 * DEFAULT_BLOCK + 12345)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 << 20, peak / 2**20
 
 
 def test_product_rejects():

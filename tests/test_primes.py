@@ -1,4 +1,5 @@
 from concurrent.futures import ThreadPoolExecutor
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -6,7 +7,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divsum import dirichlet, multiplicative, primes, sums
-from divsum.primes import DEFAULT_BLOCK, MAX_Q, check_q, is_prime, prime_blocks, primes_upto
+from divsum.primes import (
+    DEFAULT_BLOCK,
+    MAX_Q,
+    TILE_CELLS,
+    check_q,
+    is_prime,
+    prime_blocks,
+    primes_upto,
+)
+
+
+def _eratosthenes(limit: int) -> np.ndarray:
+    """Independent oracle: the primes <= limit from a plain bytearray sieve."""
+    is_p = bytearray([1]) * (max(limit, 1) + 1)
+    is_p[:2] = b"\0\0"
+    for p in range(2, isqrt(max(limit, 0)) + 1):
+        if is_p[p]:
+            is_p[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return np.flatnonzero(np.frombuffer(is_p, dtype=np.uint8))
+
+
+def _check_blocks(limit: int, block: int) -> None:
+    """prime_blocks(limit, block) yields the oracle's primes, each block nonempty and inside its range."""
+    blocks = list(prime_blocks(limit, block))
+    for ps in blocks:
+        k = int(ps[0]) // block
+        assert ps.dtype == np.int64 and ps.size
+        assert k * block <= ps[0] and ps[-1] < (k + 1) * block
+    got = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+    assert np.array_equal(got, _eratosthenes(limit)), (limit, block)
 
 
 def test_primes_upto_small():
@@ -36,13 +66,26 @@ def test_prime_blocks_match_primes_upto(limit, block, piece):
     # across many piece boundaries, and past some of them
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(primes, "PIECE_CELLS", piece)
-        blocks = list(prime_blocks(limit, block))
-    for ps in blocks:
-        k = int(ps[0]) // block
-        assert ps.dtype == np.int64 and ps.size
-        assert k * block <= ps[0] and ps[-1] < (k + 1) * block
-    got = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
-    assert np.array_equal(got, primes_upto(limit))
+        _check_blocks(limit, block)
+        assert np.array_equal(primes_upto(limit), _eratosthenes(limit))
+
+
+@pytest.mark.parametrize("block", range(2, 16, 2))
+def test_prime_blocks_small_blocks_hold_the_tile_primes(block):
+    # below 30 the tile primes 3 .. 13 fall outside block 0, where the
+    # tile has cleared them as multiples of themselves
+    for limit in range(-1, 340):
+        _check_blocks(limit, block)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_prime_blocks_at_tile_periods(k):
+    # cell i of a block is tile cell (lo // 2 + i) % TILE_CELLS; limits at
+    # whole tile periods, and blocks that start inside one
+    assert TILE_CELLS == 15015
+    for limit in (2 * TILE_CELLS * k - 1, 2 * TILE_CELLS * k, 2 * TILE_CELLS * k + 1):
+        for block in (2 * TILE_CELLS, 2 * TILE_CELLS - 2, 4096, 1000, DEFAULT_BLOCK):
+            _check_blocks(limit, block)
 
 
 def test_prime_blocks_rejects_odd_block():
@@ -55,11 +98,8 @@ def test_prime_blocks_default_block_boundary():
     # limits just past the first and the second default block, each full
     # block cleared in DEFAULT_BLOCK // 2 // PIECE_CELLS pieces
     for limit in (DEFAULT_BLOCK + 1000, 2 * DEFAULT_BLOCK + 12345):
-        blocks = list(prime_blocks(limit))
-        assert len(blocks) == limit // DEFAULT_BLOCK + 1, limit
-        for k, block in enumerate(blocks):
-            assert k * DEFAULT_BLOCK <= block[0] and block[-1] < (k + 1) * DEFAULT_BLOCK
-        assert np.array_equal(np.concatenate(blocks), primes_upto(limit)), limit
+        assert len(list(prime_blocks(limit))) == limit // DEFAULT_BLOCK + 1, limit
+        _check_blocks(limit, DEFAULT_BLOCK)
 
 
 def test_check_q_accepts_one_and_primes_below_the_bound():

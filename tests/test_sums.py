@@ -292,14 +292,14 @@ def test_load_rejects_scale_mismatch(tmp_path):
         load_checkpoints(str(p))
 
 
-def _bump_field(path, column, select):
-    """Add 1 to column in every CSV row for which select(row) holds."""
+def _bump_field(path, column, select, by=1):
+    """Add by to column in every CSV row for which select(row) holds."""
     lines = path.read_text().splitlines()
     col = CSV_HEADER.index(column)
     for i, line in enumerate(lines[1:], start=1):
         row = line.split(",")
         if select(dict(zip(CSV_HEADER, map(int, row)))):
-            row[col] = str(int(row[col]) + 1)
+            row[col] = str(int(row[col]) + by)
             lines[i] = ",".join(row)
     path.write_text("\n".join(lines) + "\n")
 
@@ -326,6 +326,27 @@ def test_load_refuses_failed_identity(tmp_path, column, x, q, m, identity):
     assert str(err.value) == f"{p}: checkpoint x={x}: {identity} fails"
 
 
+@pytest.mark.parametrize(
+    "q, m, by, error",
+    [
+        (1, 1000, 1, "twisted q=1 at m=x differs from S"),
+        # the bounds S <= T_q(x) <= 3S/2 and T_q(x//q) <= T_q(x), which no
+        # identity reads: ratio(q n) / ratio(n) is in [1, 3/2]
+        (7, 1000, 1000 * ONE, "twisted q=7 at m=x is outside [S, 3S/2] or below m=x//q"),
+        (5, 1000, -1000 * ONE, "twisted q=5 at m=x is outside [S, 3S/2] or below m=x//q"),
+        (2, 500, 1000 * ONE, "twisted q=2 at m=x is outside [S, 3S/2] or below m=x//q"),
+    ],
+    ids=["q=1-not-S", "q=7-above", "q=5-below", "q=2-not-monotone"],
+)
+def test_load_refuses_twisted_value_out_of_its_bounds(tmp_path, q, m, by, error):
+    p = tmp_path / "cp.csv"
+    save_checkpoints(str(p), accumulate(EngineConfig(limit=1000, q_list=(1, 2, 5, 7))))
+    _bump_field(p, "twisted", lambda r: (r["x"], r["q"], r["twisted_limit"]) == (1000, q, m), by)
+    with pytest.raises(CheckpointFormatError) as err:
+        load_checkpoints(str(p))
+    assert str(err.value) == f"{p}: checkpoint x=1000: {error}"
+
+
 HUGE = 10**400  # a numerator far beyond NUMERATOR_CAP = 2^127
 
 
@@ -340,8 +361,13 @@ HUGE = 10**400  # a numerator far beyond NUMERATOR_CAP = 2^127
          "checkpoint x=1: numerator exceeds 128 bits"),
         # every identity holds, but S(10) = 9 < 10 although every ratio is >= 1
         ([f"10,32,{9 * ONE},{ONE},0,{8 * ONE},8,1,10,{9 * ONE}"], "checkpoint x=10: mean ratio below 1"),
+        # a twisted row whose q no command accepts, or whose stop is neither x//q nor x
+        (["10,32,0,0,0,0,0,4,2,0"], "line 2: q must be 1 or prime (got 4)"),
+        ([f"10,32,0,0,0,0,0,{2**61 - 1},0,0"], "line 2: q must be below 2^32 (got 2305843009213693951)"),
+        (["10,32,0,0,0,0,0,5,2,0", "10,32,0,0,0,0,0,5,3,0"],
+         "line 3: twisted_limit 3 is neither x//q nor x (x=10, q=5)"),
     ],
-    ids=["x=0", "x<0", "core-numerator", "twisted-numerator", "mean-ratio"],
+    ids=["x=0", "x<0", "core-numerator", "twisted-numerator", "mean-ratio", "q=4", "q-huge", "twisted-stop"],
 )
 def test_load_refuses_out_of_range_checkpoint(tmp_path, rows, error):
     p = tmp_path / "bad.csv"
