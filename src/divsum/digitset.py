@@ -10,11 +10,11 @@ property-tested against explicit permutation witnesses.
 class_sums views the 10^4-aligned blocks n = h*10^4 + r of a range as
 rows: the full rows as one (rows, 10^4) view, a partial head and tail as
 one-row views.  A row whose high part h shows a 0 or 5 lies wholly in A;
-the others take each cell's class from a table over the four zero-padded
-low digits r (over r itself, unpadded, when h = 0).  One einsum with the
-table's stacked 0/1 weights gives every row's sums over A and over its
-complement, and the sum of the complement's weights over a view's columns
-counts the complement in each row that is not wholly in A.
+the others, the mixed rows, take each cell's class from a table over the
+four zero-padded low digits r (over r itself, unpadded, when h = 0).  The
+full rows are read once, one column sum per run of rows of one kind.  The
+table's two 0/1 weight vectors split the mixed rows' column sum, and each
+mixed head or tail row, into sums over A and over its complement.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     padded = np.any(hits, axis=0)
     # digit i >= 1 exists only when r >= 10^i (entry 0 is never read: n >= 1)
     unpadded = np.any([hit & (r >= 10**i) for i, hit in enumerate(hits)], axis=0)
-    tables = tuple(np.stack((in_a, ~in_a)).astype(np.int32) for in_a in (padded, unpadded))
+    tables = tuple(np.stack((in_a, ~in_a)).astype(np.int64) for in_a in (padded, unpadded))
     for weights in tables:
         weights.flags.writeable = False
     return tables
@@ -98,26 +98,34 @@ def class_sums(lo: int, num: np.ndarray) -> tuple[int, int, int, int]:
     S_A sums num over A, S_B over A less the multiples of 5, T_nonA over
     the complement of A, and count_nonA counts that complement.  S_A and
     T_nonA are separate reductions, so S = S_A + T_nonA stays a check on
-    the weights.  A row sums in num's dtype: 10^4 int32 cells stay below 2^31.
+    the weights.  The full rows' column sums accumulate in num's dtype
+    promoted to at least int32, exact for int16 cells up to 2^16 rows;
+    every other sum is taken in int64.
     """
     if lo < 1:
         raise ValueError(f"class_sums is defined for lo >= 1 (got {lo})")
     a = -(-lo // _BLOCK) * _BLOCK  # the full rows span [a, b), empty when b = a
     b = max(a, (lo + num.size) // _BLOCK * _BLOCK)
     mixed = _has_no_0_or_5(np.arange(lo // _BLOCK, b // _BLOCK + 1))  # the rows not wholly in A
-    s_a = t_non = count = 0
     full = num[a - lo : b - lo].reshape(-1, _BLOCK)
-    for start, rows in ((lo, num[: a - lo][None]), (a, full), (b, num[b - lo :][None])):
-        h, r = divmod(start, _BLOCK)  # rows[i, j] holds n = (h + i) 10^4 + r + j
-        weights = _digit_tables()[h == 0]  # h = 0 only in the one-row head
-        end = r + rows.shape[1]
-        in_a, non_a = np.einsum("ij,kj->ki", rows, weights[:, r:end])
-        mix = mixed[h - lo // _BLOCK :][: len(rows)]
-        s_a += int(in_a.sum()) + int(non_a[~mix].sum())
-        t_non += int(non_a[mix].sum())
-        count += int(mix.sum()) * int(weights[1, r:end].sum())
-    multiples_of_5 = int(num[(-lo) % 5 :: 5].sum())
-    return s_a, s_a - multiples_of_5, t_non, count
+    flags = mixed[a // _BLOCK - lo // _BLOCK :][: len(full)]
+    cols = np.zeros((2, _BLOCK), dtype=np.promote_types(num.dtype, np.int32))  # full rows wholly in A; mixed
+    edges = [*np.flatnonzero(np.diff(flags, prepend=-1)).tolist(), len(full)]  # the first row of each run
+    for i, j in zip(edges, edges[1:]):
+        cols[int(flags[i])] += full[i:j].sum(axis=0, dtype=cols.dtype)
+    s_a = t_non = count = fives = 0
+    # (start, values, mixed rows summed in values): the head, the full rows by kind, the tail
+    for start, values, rows in ((lo, num[: a - lo], mixed[0]), (a, cols[0], 0), (a, cols[1], flags.sum()),
+                                (b, num[b - lo :], mixed[-1])):
+        h, r = divmod(start, _BLOCK)  # values[j] sums the cells at n = r + j mod 10^4
+        weights = _digit_tables()[h == 0][:, r : r + values.size]  # h = 0 only in the head
+        if rows:
+            in_a, non_a = (int(v) for v in weights @ values)
+            s_a, t_non, count = s_a + in_a, t_non + non_a, count + int(rows) * int(weights[1].sum())
+        else:
+            s_a += int(values.sum(dtype=np.int64))
+        fives += int(values[(-start) % 5 :: 5].sum(dtype=np.int64))  # the multiples of 5
+    return s_a, s_a - fives, t_non, count
 
 
 def permutation_witness(n: int) -> str | None:

@@ -6,9 +6,10 @@ sums of ratios are therefore accumulated exactly as plain int numerators at a
 fixed power-of-two scale 2^SCALE_EXP, which keeps parallel reductions
 order-independent and bit-for-bit reproducible; to_float converts one.  The
 segmented sieve (wheel tile, strides up to top^(1/4), vector steps above)
-yields int32 cells ratio(n) * 2^CELL_EXP, which a left shift by CELL_SHIFT
-takes to that scale; d(n) and omega(n) are computed only per n, by factorize
-and the oracle, each giving the ratio as an exact Fraction.
+yields int16 cells ratio(n) * 2^CELL_EXP, at most MAX_CELL < 2^15, which a
+left shift by CELL_SHIFT takes to that scale; d(n) and omega(n) are computed
+only per n, by factorize and the oracle, each giving the ratio as an exact
+Fraction.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ CELL_SHIFT = SCALE_EXP - CELL_EXP
 MAX_CELL = 120 << CELL_EXP
 MAX_SEGMENT_CELLS = 1 << 26  # memory budget for one dense segment; its sum < 2^26 MAX_CELL < 2^40
 WHEEL = {2: 5, 3: 3, 5: 2}  # sieve_segment copies the levels p^2..p^e from one tile
-WHEEL_PERIOD = prod(p**e for p, e in WHEEL.items())  # 21600 cells, 84 KiB
+WHEEL_PERIOD = prod(p**e for p, e in WHEEL.items())  # 21600 cells, 42 KiB
 BRUTE_FORCE_LIMIT = 10**7
 
 # ordered (prime, exponent) pairs; primes strictly increasing, exponents >= 1
@@ -126,7 +127,7 @@ def _stride_levels(num: np.ndarray, lo: int, top: int, p: int, e: int) -> None:
 @cache
 def _wheel_tile() -> np.ndarray:
     """Read-only cells of the WHEEL levels alone; cell i stands for n = i."""
-    tile = np.full(WHEEL_PERIOD, 1 << CELL_EXP, dtype=np.int32)
+    tile = np.full(WHEEL_PERIOD, 1 << CELL_EXP, dtype=np.int16)
     for p, e in WHEEL.items():
         _stride_levels(tile, 0, p**e, p, 2)
     tile.flags.writeable = False
@@ -141,11 +142,13 @@ def _base_primes(bits: int) -> np.ndarray:
 
 
 def sieve_segment(lo: int, hi: int) -> np.ndarray:
-    """int32 cells ratio(n) * 2^CELL_EXP for all n in [lo, hi).
+    """int16 cells ratio(n) * 2^CELL_EXP for all n in [lo, hi).
 
     Only the levels p^k, k >= 2, change a cell (the ratio is 1 at primes): a
     cell divisible by p^k moves its p-factor from k/2 to (k+1)/2, exact as the
     cell is k times R 2^(CELL_EXP-1), R the factors of at most 6 other primes.
+    Each level divides before it multiplies, so no step exceeds the final
+    cell, at most MAX_CELL < 2^15.
     The cached tile gives the WHEEL levels; the higher levels of the WHEEL
     primes and all primes up to top^(1/4) (top = hi - 1) are strided; each
     level of the rest is one fancy-index step over all their hits, exact as
@@ -161,11 +164,11 @@ def sieve_segment(lo: int, hi: int) -> np.ndarray:
             f"segment of {size} cells exceeds budget {MAX_SEGMENT_CELLS}"
         )
     skip = lo % WHEEL_PERIOD  # the tile, broadcast over whole periods from lo - skip
-    num = np.empty(((skip + size) // WHEEL_PERIOD + 1, WHEEL_PERIOD), dtype=np.int32)
+    num = np.empty(((skip + size) // WHEEL_PERIOD + 1, WHEEL_PERIOD), dtype=np.int16)
     num[:] = _wheel_tile()  # one copy that releases the interpreter lock, unlike np.tile
     num = num.reshape(-1)[skip : skip + size]
     top = hi - 1
-    primes = _base_primes((root := isqrt(top)).bit_length())
+    primes = _base_primes(max(16, (root := isqrt(top)).bit_length()))  # one table for every top < 2^32
     split, end = np.searchsorted(primes, (max(isqrt(root), max(WHEEL)), root), side="right")
     for p in primes[:split].tolist():
         _stride_levels(num, lo, top, p, WHEEL.get(p, 1) + 1)
@@ -187,7 +190,8 @@ def twisted_ratio_numerators(q: int, lo: int, num: np.ndarray) -> np.ndarray:
     segment starting at lo).  For q prime and a = v_q(n): when a = 0,
     q adds one prime to both d and 2^omega, so ratio(qn) = ratio(n); when
     a >= 1, ratio(qn) = ratio(n) * (a+2)/(a+1), exact because the cell is
-    (a+1) times R 2^(CELL_EXP-1), as in sieve_segment.  q = 1 returns num.
+    (a+1) times R 2^(CELL_EXP-1), as in sieve_segment; a cell grows by at
+    most 3/2, so int16 cells stay below 3/2 MAX_CELL < 2^15.  q = 1 returns num.
     """
     check_q(q)
     if q == 1 or num.size == 0:

@@ -4,7 +4,7 @@ One sieve pass over (x0, limit] accumulates the total sum S, the restricted
 sums S_A / S_B, the complement sum T_nonA, the complement count and, for
 each q, the twisted series sum_{n<=m} ratio(q n).  Each sum is kept, passed
 and persisted as its plain int numerator at scale 2^SCALE_EXP.
-Per segment digitset.class_sums reduces the sieved int32 cells over the
+Per segment digitset.class_sums reduces the sieved int16 cells over the
 digit classes, and running slice sums give S at every stop inside it; each
 sum shifts left by CELL_SHIFT to SCALE_EXP.  The twisted series needs
 nothing more: the Euler factor at q gives
@@ -121,8 +121,10 @@ def checkpoint_schedule(limit: int) -> list[int]:
 
 
 def _cell_sum(cells) -> int:
-    """Exact sum of int32 cells, from int32 partial sums that stay below 2^31."""
-    return int(np.add.reduceat(cells, range(0, cells.size, (1 << 31) // MAX_CELL), dtype=np.int32).sum())
+    """Exact sum of int16 cells, from int32 partial sums of 2^31 // MAX_CELL cells each."""
+    whole = cells.size - cells.size % (piece := (1 << 31) // MAX_CELL)
+    parts = cells[:whole].reshape(-1, piece).sum(axis=1, dtype=np.int32)
+    return int(parts.sum()) + int(cells[whole:].sum(dtype=np.int32))
 
 
 def _segment_class_sums(args) -> tuple[int, ...]:

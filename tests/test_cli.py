@@ -522,6 +522,42 @@ PINNED_OUTPUTS = [
         '{\n  "quantity": "count_nonA",\n  "slope": 0.910921308531188,\n'
         '  "intercept": 0.0523318716909173,\n  "points_used": 11,\n  "excluded_points": 0\n}\n',
     ),
+    # the float path over the sieved cells: twisted_ratio_numerators -> dirichlet_lhs
+    (
+        ["verify-dirichlet", "--q", "1,2,7", "--s-grid", "1.5,2", "--terms", "1e5"],
+        '{\n  "rows": [\n'
+        '    {\n      "q": 1,\n      "s": 1.5,\n'
+        '      "series": 2.94175200556484,\n      "series_tail_estimate": 3.03955056526791,\n'
+        '      "factorized": 2.95077817664455,\n      "factorized_prime_limit": 1000000,\n'
+        '      "abs_difference": 0.00902617107970816,\n      "allowed": 3.03965056526791,\n'
+        '      "within_tolerance": true\n    },\n'
+        '    {\n      "q": 1,\n      "s": 2,\n'
+        '      "series": 1.72727657804226,\n      "series_tail_estimate": 0.00961190284949888,\n'
+        '      "factorized": 1.72729084778257,\n      "factorized_prime_limit": 1000000,\n'
+        '      "abs_difference": 1.42697403107128e-05,\n      "allowed": 0.00971190284949888,\n'
+        '      "within_tolerance": true\n    },\n'
+        '    {\n      "q": 2,\n      "s": 1.5,\n'
+        '      "series": 3.41558927184114,\n      "series_tail_estimate": 3.03955056526791,\n'
+        '      "factorized": 3.42642073435783,\n      "factorized_prime_limit": 1000000,\n'
+        '      "abs_difference": 0.0108314625166974,\n      "allowed": 3.03965056526791,\n'
+        '      "within_tolerance": true\n    },\n'
+        '    {\n      "q": 2,\n      "s": 2,\n'
+        '      "series": 1.93454862569406,\n      "series_tail_estimate": 0.00961190284949888,\n'
+        '      "factorized": 1.93456574951648,\n      "factorized_prime_limit": 1000000,\n'
+        '      "abs_difference": 1.71238224269121e-05,\n      "allowed": 0.00971190284949888,\n'
+        '      "within_tolerance": true\n    },\n'
+        '    {\n      "q": 7,\n      "s": 1.5,\n'
+        '      "series": 3.0206561197216,\n      "series_tail_estimate": 3.03955056526791,\n'
+        '      "factorized": 3.03031913248864,\n      "factorized_prime_limit": 1000000,\n'
+        '      "abs_difference": 0.00966301276704407,\n      "allowed": 3.03965056526791,\n'
+        '      "within_tolerance": true\n    },\n'
+        '    {\n      "q": 7,\n      "s": 2,\n'
+        '      "series": 1.7448972420996,\n      "series_tail_estimate": 0.00961190284949888,\n'
+        '      "factorized": 1.74491251849321,\n      "factorized_prime_limit": 1000000,\n'
+        '      "abs_difference": 1.52763936167588e-05,\n      "allowed": 0.00971190284949888,\n'
+        '      "within_tolerance": true\n    }\n'
+        '  ]\n}\n',
+    ),
 ]
 
 

@@ -16,7 +16,7 @@ from divsum.digitset import (
     non_a_bound,
     permutation_witness,
 )
-from divsum.multiplicative import MAX_CELL
+from divsum.multiplicative import MAX_CELL, MAX_SEGMENT_CELLS
 
 
 def brute_witness(n):
@@ -257,6 +257,28 @@ def test_class_sums_of_largest_int32_cells_are_exact():
         fives = (hi - 1) // 5 - (lo - 1) // 5
         want = (size - non_a) * MAX_CELL, (size - non_a - fives) * MAX_CELL, non_a * MAX_CELL, non_a
         assert class_sums(lo, cells) == want, lo
+
+
+def test_class_sums_of_largest_int16_cells_are_exact():
+    # every column sum of the full rows stays inside int32, even over the largest segment
+    assert MAX_SEGMENT_CELLS // 10**4 * MAX_CELL < 2**31
+    runs = set()  # (mixed, length) of the runs of full rows met
+    for lo, size in (
+        (2 * 10**7 + 1, (1 << 20) + 7),  # rows wholly in A
+        (10**9 - (1 << 20), (1 << 20) + 7),  # runs of 4 mixed rows, and rows wholly in A from h = 99900
+        (1, (1 << 20) + 7),  # the first block, and runs of both kinds
+        (5 * 10**10 + 1, MAX_SEGMENT_CELLS),  # the largest segment, every row wholly in A
+        (11 * 10**8 + 3, MAX_SEGMENT_CELLS),  # the largest segment, runs of both kinds
+    ):
+        cells = np.broadcast_to(np.int16(MAX_CELL), size)  # one cell, read-only, no copy
+        hi = lo + size
+        mixed = _has_no_0_or_5(np.arange(-(-lo // 10**4), hi // 10**4))
+        runs.update((bool(run[0]), len(run)) for run in np.split(mixed, np.flatnonzero(np.diff(mixed)) + 1))
+        non_a = count_non_a(hi - 1) - count_non_a(lo - 1)
+        fives = (hi - 1) // 5 - (lo - 1) // 5
+        want = (size - non_a) * MAX_CELL, (size - non_a - fives) * MAX_CELL, non_a * MAX_CELL, non_a
+        assert class_sums(lo, cells) == want, lo
+    assert max(n for mix, n in runs if mix) >= 2 and max(n for mix, n in runs if not mix) >= 2
 
 
 def test_class_sums_rejects_lo_below_1():

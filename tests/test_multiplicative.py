@@ -26,7 +26,7 @@ from divsum.multiplicative import (
     unitary_divisor_count,
 )
 from divsum.primes import is_prime, primes_upto
-from divsum.sums import twisted_sum
+from divsum.sums import checkpoint_schedule, twisted_sum
 
 
 def test_factorize_examples():
@@ -134,8 +134,8 @@ def test_ratio_and_divisor_bounds():
 
 
 def _numerators(cells: np.ndarray) -> np.ndarray:
-    """int32 cells at scale 2^CELL_EXP as int64 numerators at scale 2^SCALE_EXP."""
-    assert cells.dtype == np.int32
+    """int16 cells at scale 2^CELL_EXP as int64 numerators at scale 2^SCALE_EXP."""
+    assert cells.dtype == np.int16
     return cells.astype(np.int64) << CELL_SHIFT
 
 
@@ -200,7 +200,7 @@ def test_sieve_rejects():
         sieve_segment(1, (1 << 40) + 1)
 
 
-def test_int32_cells_are_exact_below_2_40():
+def test_int16_cells_are_exact_below_2_40():
     # the ratio depends on the exponents alone, and the smallest n with a
     # given exponent multiset puts them non-increasing on 2, 3, 5, ...; so a
     # DFS over those patterns below 2^40 meets every ratio that occurs there
@@ -223,6 +223,23 @@ def test_int32_cells_are_exact_below_2_40():
     assert sieve_segment(510510**2, 510510**2 + 1).tolist() == [2187]  # (3/2)^7 2^7
     assert MAX_SEGMENT_CELLS * 15360 < 1 << 63
     assert (1 << 31) // MAX_CELL * MAX_CELL < 1 << 31  # the int32 partial sums of sums._cell_sum
+    # ratio(q n) <= 3/2 ratio(n), so a twisted cell of the largest one stays in int16 too
+    assert MAX_CELL * 3 // 2 < 1 << 15
+    n = 960180480000
+    for q, a in ((2, 11), (3, 7), (5, 4), (7, 3)):  # a = v_q(n)
+        cell = twisted_ratio_numerators(q, n, sieve_segment(n, n + 1))
+        assert cell.dtype == np.int16 and cell[0] < 1 << 15
+        assert Fraction(int(cell[0]), 1 << CELL_EXP) == divisor_ratio(q * n) == Fraction(120 * (a + 2), a + 1)
+
+
+def test_grid_segments_share_one_base_prime_table():
+    # the segments of `divsum sum --limit 3e6`, [1, 10], (10, 20], ..., (2e6, 3e6],
+    # reach isqrt(top) of 2 to 11 bits; every top < 2^32 reads the same table
+    bounds = [0, *checkpoint_schedule(3 * 10**6)]
+    multiplicative._base_primes.cache_clear()
+    for lo, hi in zip(bounds, bounds[1:]):
+        sieve_segment(lo + 1, hi + 1)
+    assert multiplicative._base_primes.cache_info().misses == 1
 
 
 def _reference_sieve(lo: int, hi: int) -> np.ndarray:

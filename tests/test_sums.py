@@ -491,3 +491,13 @@ def test_cell_sum_is_exact_for_the_largest_cells():
     for size in (0, 1, piece - 1, piece, piece + 1, 3 * piece + 5, 1 << 22):
         assert _cell_sum(cells[:size]) == size * MAX_CELL, size
     assert _cell_sum(cells[3::5]) == len(cells[3::5]) * MAX_CELL
+
+
+def test_cell_sum_is_exact_for_the_largest_int16_cells():
+    piece = (1 << 31) // MAX_CELL  # cells per int32 partial sum
+    cells = np.full(1 << 22, MAX_CELL, dtype=np.int16)
+    for size in (0, 1, piece - 1, piece, piece + 1, 3 * piece + 5, 1 << 22):
+        assert _cell_sum(cells[:size]) == size * MAX_CELL, size
+    assert _cell_sum(cells[3::5]) == len(cells[3::5]) * MAX_CELL
+    # the largest segment, as a read-only broadcast of one cell
+    assert _cell_sum(np.broadcast_to(np.int16(MAX_CELL), MAX_SEGMENT_CELLS)) == MAX_SEGMENT_CELLS * MAX_CELL
